@@ -25,6 +25,7 @@ from .demazure import (
     local_weyl,
     rect_demazure,
 )
+from .errors import InvariantError
 from .lweights import (
     KRFactor,
     LWeight,

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import InvariantError
 from .typea import (
     Weight,
     fundamental_weight,
@@ -273,6 +274,8 @@ def demazure_pair(ell: int, lam) -> tuple:
     for i in word:
         x = x.compose(ext_simple(n, i))
     L = AffineWeight(z.finite, z.level, Fraction(0))
-    assert x.act(L).eq_mod_delta(target)
-    assert length(x) == len(word)
+    if not x.act(L).eq_mod_delta(target):
+        raise InvariantError("dominantizing word does not reach the target")
+    if length(x) != len(word):
+        raise InvariantError("dominantizing word is not reduced")
     return x, L

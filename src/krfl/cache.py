@@ -2,10 +2,11 @@
 
 Entries are JSON files named by the SHA-256 of a canonical construction
 descriptor; each file stores the descriptor next to the character so a
-hit can be validated instead of trusted.  The directory comes from the
-KRFL_CACHE_DIR environment variable, defaulting to .krfl-cache in the
-working directory.  Plain JSON keeps the cache inspectable and avoids
-executing anything on load.
+hit can be validated instead of trusted.  Every descriptor is stamped
+with ENGINE_VERSION, so an entry written by an older engine is a miss.
+The directory comes from the KRFL_CACHE_DIR environment variable,
+defaulting to .krfl-cache in the working directory.  Plain JSON keeps
+the cache inspectable and avoids executing anything on load.
 """
 
 from __future__ import annotations
@@ -19,10 +20,18 @@ from .modules import GradedCharacter
 
 ENV_VAR = "KRFL_CACHE_DIR"
 DEFAULT_DIR = ".krfl-cache"
+# Bump whenever a change to the engine or to the entry format could change
+# a stored character.  Version 2: lowering-only closures; entries written
+# before versioning carry no "engine" key and never match.
+ENGINE_VERSION = 2
 
 
 def cache_dir() -> Path:
     return Path(os.environ.get(ENV_VAR) or DEFAULT_DIR)
+
+
+def _stamped(desc):
+    return {**desc, "engine": ENGINE_VERSION}
 
 
 def descriptor_key(desc) -> str:
@@ -36,6 +45,7 @@ def _entry_path(desc) -> Path:
 
 def load(desc):
     """The cached character for this descriptor, or None."""
+    desc = _stamped(desc)
     path = _entry_path(desc)
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
@@ -50,6 +60,7 @@ def load(desc):
 
 
 def store(desc, gc: GradedCharacter):
+    desc = _stamped(desc)
     d = cache_dir()
     d.mkdir(parents=True, exist_ok=True)
     path = _entry_path(desc)

@@ -111,18 +111,30 @@ def _cmd_char(args, out):
     return 0
 
 
+def _canonical_fusion(parts, points):
+    """Parts in descending order with the points permuted alongside, so
+    that `--partition 1,2` and `2,1` share a cache entry.  The sort is
+    stable: input that is already descending is computed as given.  A
+    point list of the wrong length is left for fusion_product to reject."""
+    order = sorted(range(len(parts)), key=lambda j: -parts[j])
+    if points is not None and len(points) == len(parts):
+        points = tuple(points[j] for j in order)
+    return tuple(parts[j] for j in order), points
+
+
 def _cmd_fusion(args, out):
+    parts, points = _canonical_fusion(args.partition, args.points)
     desc = {
         "kind": "fusion",
         "rank": args.rank,
         "node": args.node,
-        "xi": list(args.partition),
-        "points": None if args.points is None else [str(z) for z in args.points],
+        "xi": list(parts),
+        "points": None if points is None else [str(z) for z in points],
     }
     gc = cached_character(
         desc,
         lambda: graded_character(
-            fusion_product(args.rank, args.node, args.partition, args.points)
+            fusion_product(args.rank, args.node, parts, points)
         ),
         enabled=not args.no_cache,
     )

@@ -30,12 +30,6 @@ SparseVec = dict  # index -> Fraction, all values nonzero
 SparseMat = dict  # col index -> tuple[(row index, Fraction), ...]
 
 
-def vec_scale(v, c):
-    if c == 0:
-        return {}
-    return {i: c * x for i, x in v.items()}
-
-
 def vec_iadd_scaled(v, w, c):
     """v += c*w in place; drops cancelled entries."""
     if c == 0:
@@ -47,15 +41,6 @@ def vec_iadd_scaled(v, w, c):
         else:
             v.pop(i, None)
     return v
-
-
-def vec_add_scaled(v, w, c):
-    out = dict(v)
-    return vec_iadd_scaled(out, w, c)
-
-
-def vec_eq(v, w):
-    return v == w
 
 
 def mat_apply(mat, v):
@@ -150,6 +135,11 @@ class Echelon:
     its row's support, so cancelling at pivot p only introduces entries
     above p and no pivot needs a second visit.  A running scale keeps the
     sweep fraction free; exact values are restored on the way out.
+
+    Cancelling an entry c against a row with pivot coefficient g takes
+    d = gcd(c, g), scales the vector by g/d and subtracts (c/d) times
+    the row.  When g divides c, which is the common case, the vector is
+    not rescaled at all, so entries and the running scale stay small.
     """
 
     def __init__(self):
@@ -194,9 +184,13 @@ class Echelon:
             row = self.rows[row_no]
             g = self.scales[row_no]
             if g != 1:
-                for i in v:
-                    v[i] *= g
-                scale *= g
+                d = math.gcd(c, g)
+                if d != g:
+                    s = g // d
+                    for i in v:
+                        v[i] *= s
+                    scale *= s
+                c //= d
             for i, x in row.items():
                 if i == p:
                     continue
@@ -253,8 +247,3 @@ class Echelon:
         if scale == 1:
             return coeffs, w
         return coeffs, {i: _canon(Fraction(x, scale)) for i, x in w.items()}
-
-    def contains(self, v, label):
-        w, scale = self._cleared(v)
-        self._sweep(w, label, scale)
-        return not w

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import InvariantError
 from .typea import Partition, Weight, zero_weight
 
 
@@ -90,9 +91,6 @@ class LWeight:
             raise ValueError("negative power leaves the monoid")
         return LWeight(self.rank, {key: k * m for key, m in self.mults.items()})
 
-    def is_trivial(self) -> bool:
-        return not self.mults
-
     def to_json(self):
         return [
             {"node": i, "exp": z, "mult": m}
@@ -167,7 +165,8 @@ def q_factorize(pi: LWeight) -> list:
             factors.append(KRFactor(i, top - length + 1, length))
     for a in range(len(factors)):
         for b in range(a + 1, len(factors)):
-            assert _separated(factors[a], factors[b])
+            if not _separated(factors[a], factors[b]):
+                raise InvariantError("factorization produced overlapping strings")
     factors.sort(key=lambda f: (f.node, -f.center, -f.length))
     return factors
 

@@ -27,6 +27,7 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 
+from .errors import InvariantError
 from .linalg import (
     Echelon,
     mat_add_scaled,
@@ -64,9 +65,8 @@ def _shift(rank, sym, i):
 class GModule:
     """Module over the rank-n simple Lie algebra."""
 
-    def __init__(self, rank, labels, weights, mats=None, builder=None, top_index=None):
+    def __init__(self, rank, weights, mats=None, builder=None, top_index=None):
         self.rank = rank
-        self.labels = list(labels)
         self.weights = [tuple(w) for w in weights]
         self._mats = dict(mats or {})
         self._builder = builder
@@ -125,7 +125,7 @@ def fundamental_gmodule(n: int, i: int) -> GModule:
         mats[("f", node)] = mat_from_columns(f_cols)
         mats[("h", node)] = mat_from_columns(h_cols)
     top = index[tuple(range(1, i + 1))]
-    return GModule(n, subsets, weights, mats=mats, top_index=top)
+    return GModule(n, weights, mats=mats, top_index=top)
 
 
 def tensor_gmodules(ms) -> GModule:
@@ -158,27 +158,85 @@ def tensor_gmodules(ms) -> GModule:
     top = None
     if all(m.top_index is not None for m in ms):
         top = index[tuple(m.top_index for m in ms)]
-    return GModule(rank, labels, weights, builder=build, top_index=top)
+    return GModule(rank, weights, builder=build, top_index=top)
+
+
+def _borel_gens(rank, trunc):
+    """e_i ⊗ t^k for k <= trunc and h_i ⊗ t^k for 1 <= k <= trunc.
+
+    h_i ⊗ t^0 acts on a weight vector by its weight, so it can never add
+    a row and is left out.
+    """
+    gens = [("e", i, k) for i in range(1, rank + 1) for k in range(trunc + 1)]
+    return gens + [("h", i, k) for i in range(1, rank + 1) for k in range(1, trunc + 1)]
+
+
+def _lowering_gens(rank, powers):
+    return [("f", i, k) for i in range(1, rank + 1) for k in powers]
+
+
+def _insert_images(ech, j, gens, act, target):
+    """Insert the image of row j under each generator; returns the new rows.
+
+    act(sym, i, k, row) applies a generator to a stored row and
+    target(gen, meta) gives the echelon label and the meta of the image.
+    """
+    row, meta = ech.rows[j], ech.meta[j]
+    out = []
+    for gen in gens:
+        img = act(*gen, row)
+        if img:
+            new = ech.insert(img, *target(gen, meta))
+            if new is not None:
+                out.append(new)
+    return out
+
+
+def _close(ech, rows, gens, act, target):
+    """Close the span of ech under gens, starting from the given rows.
+
+    Every accepted row is closed in turn (depth first); returns the
+    accepted row numbers.
+    """
+    accepted = []
+    todo = list(rows)
+    while todo:
+        new = _insert_images(ech, todo.pop(), gens, act, target)
+        accepted += new
+        todo += new
+    return accepted
+
+
+def _cyclic_closure(ech, rank, trunc, act, target):
+    """Close row 0 of ech, a weight vector v, to a basis of U(g[t])·v.
+
+    By PBW, U(g[t]) = U(n⁻[t]) U(b[t]) (Chari–Loktev, Weyl, Demazure and
+    fusion modules for the current algebra of sl_{r+1}, 2006,
+    arXiv:math/0502165), so the span is closed first under the Borel
+    generators (_borel_gens) and then under the lowering generators
+    f_i ⊗ t^k alone.  For a highest-weight v the first phase accepts no
+    row; that is exactly the premise under which U(n⁻[t])·v already is
+    U(g[t])·v.  For any other v the first phase yields U(b[t])·v, so
+    every weight vector is a valid input.
+    """
+    _close(ech, [0], _borel_gens(rank, trunc), act, target)
+    _close(ech, range(len(ech)), _lowering_gens(rank, range(trunc + 1)), act, target)
 
 
 def _gmodule_closure(amb: GModule, start, start_weight):
-    """Echelon basis of the g-submodule generated by a homogeneous vector."""
+    """Echelon basis of the g-submodule generated by a weight vector,
+    closed as in _cyclic_closure with t-powers 0 only."""
     ech = Echelon()
     ech.insert(start, start_weight, start_weight)
-    todo = [0]
-    while todo:
-        j = todo.pop()
-        row = ech.rows[j]
-        wt = ech.meta[j]
-        for sym in "ef":
-            for i in range(1, amb.rank + 1):
-                img = amb.act(sym, i, row)
-                if not img:
-                    continue
-                wt2 = weight_add(wt, _shift(amb.rank, sym, i))
-                new = ech.insert(img, wt2, wt2)
-                if new is not None:
-                    todo.append(new)
+
+    def act(sym, i, k, row):
+        return amb.act(sym, i, row)
+
+    def target(gen, wt):
+        wt2 = weight_add(wt, _shift(amb.rank, gen[0], gen[1]))
+        return wt2, wt2
+
+    _cyclic_closure(ech, amb.rank, 0, act, target)
     return ech
 
 
@@ -194,7 +252,8 @@ def _gmodule_from_echelon(amb: GModule, ech: Echelon) -> GModule:
                 continue
             wt2 = weight_add(weights[j], shift)
             coeffs, residual = ech.coordinates(img, wt2)
-            assert not residual, "closure is not action stable"
+            if residual:
+                raise InvariantError("closure is not action stable")
             g = ech.scales[j]
             if g != 1:
                 # row j stores g times the basis vector it represents
@@ -203,9 +262,7 @@ def _gmodule_from_echelon(amb: GModule, ech: Echelon) -> GModule:
                 cols[j] = coeffs
         return mat_from_columns(cols)
 
-    return GModule(
-        amb.rank, list(range(len(weights))), weights, builder=build, top_index=0
-    )
+    return GModule(amb.rank, weights, builder=build, top_index=0)
 
 
 @lru_cache(maxsize=None)
@@ -221,7 +278,6 @@ def simple_gmodule(n: int, lam) -> GModule:
     if not factors:
         return GModule(
             n,
-            ["vac"],
             [zero_weight(n)],
             mats={(s, i): {} for s in "efh" for i in range(1, n + 1)},
             top_index=0,
@@ -229,7 +285,8 @@ def simple_gmodule(n: int, lam) -> GModule:
     amb = tensor_gmodules(factors)
     ech = _gmodule_closure(amb, {amb.top_index: ONE}, lam)
     out = _gmodule_from_echelon(amb, ech)
-    assert out.dim == weyl_dim(lam)
+    if out.dim != weyl_dim(lam):
+        raise InvariantError("simple module dimension differs from the Weyl dimension")
     return out
 
 
@@ -250,7 +307,6 @@ class GtModule:
         trunc,
         builder,
         points=None,
-        labels=None,
         cyclic_index=None,
     ):
         self.rank = rank
@@ -258,7 +314,6 @@ class GtModule:
         self.degrees = None if degrees is None else [int(d) for d in degrees]
         self.trunc = trunc
         self.points = points
-        self.labels = labels if labels is not None else list(range(len(self.weights)))
         self.cyclic_index = cyclic_index
         self._builder = builder
         self._mats = {}
@@ -352,7 +407,6 @@ def evaluation_module(m: GModule, z) -> GtModule:
         0,
         build,
         points=(z,),
-        labels=list(m.labels),
         cyclic_index=m.top_index,
     )
 
@@ -431,11 +485,15 @@ def cyclic_submodule(m: GtModule, vec) -> GtModule:
     """Smallest submodule containing vec, with vec's class as row 0.
 
     vec must be weight homogeneous, and degree homogeneous if m is
-    graded.  Closure applies every stored generator: t-powers up to
-    the truncation, plus h_i ⊗ t^k for k ≥ 1 (k = 0 acts by a scalar
-    on weight vectors and is skipped).  For evaluation-type inputs the
-    sufficiency of the truncation is asserted by re-applying two extra
-    powers afterwards.
+    graded.  The closure (_cyclic_closure) first closes vec under the
+    Borel generators e_i ⊗ t^k, h_i ⊗ t^k (k ≥ 1) and then closes the
+    result under the lowering generators f_i ⊗ t^k alone, t-powers up
+    to the truncation; by PBW that is U(g[t])·vec for any weight vector
+    (Chari–Loktev, arXiv:math/0502165), and for a highest-weight vec the
+    first phase adds nothing.  For evaluation-type inputs the
+    sufficiency of the truncation is checked by re-applying two extra
+    powers afterwards; the action-stability check on every matrix built
+    later catches a closure that is not stable under e.
     """
     if not vec:
         raise ValueError("cannot close the zero vector")
@@ -443,27 +501,14 @@ def cyclic_submodule(m: GtModule, vec) -> GtModule:
     deg = m.degree_of(vec) if m.graded else 0
     ech = Echelon()
     ech.insert(vec, _closure_label(m, wt, deg), (wt, deg))
-    gens = []
-    for i in range(1, m.rank + 1):
-        for k in range(m.trunc + 1):
-            gens.append(("e", i, k))
-            gens.append(("f", i, k))
-            if k:
-                gens.append(("h", i, k))
-    todo = [0]
-    while todo:
-        j = todo.pop()
-        row = ech.rows[j]
-        wt, deg = ech.meta[j]
-        for sym, i, k in gens:
-            img = m.act(sym, i, k, row)
-            if not img:
-                continue
-            wt2 = weight_add(wt, _shift(m.rank, sym, i))
-            deg2 = deg + k if m.graded else 0
-            new = ech.insert(img, _closure_label(m, wt2, deg2), (wt2, deg2))
-            if new is not None:
-                todo.append(new)
+
+    def target(gen, meta):
+        sym, i, k = gen
+        wt2 = weight_add(meta[0], _shift(m.rank, sym, i))
+        deg2 = meta[1] + k if m.graded else 0
+        return _closure_label(m, wt2, deg2), (wt2, deg2)
+
+    _cyclic_closure(ech, m.rank, m.trunc, m.act, target)
     if m.points is not None and not m.graded:
         _assert_truncation_sufficient(m, ech)
     return _submodule_from_echelon(m, ech)
@@ -477,9 +522,8 @@ def _assert_truncation_sufficient(m: GtModule, ech: Echelon):
                 for k in (m.trunc + 1, m.trunc + 2):
                     img = m.act(sym, i, k, row)
                     wt2 = weight_add(wt, _shift(m.rank, sym, i))
-                    assert not ech.reduce(
-                        img, wt2
-                    ), "truncated generator set failed to close"
+                    if ech.reduce(img, wt2):
+                        raise InvariantError("truncated generator set failed to close")
 
 
 def _submodule_from_echelon(m: GtModule, ech: Echelon) -> GtModule:
@@ -494,7 +538,8 @@ def _submodule_from_echelon(m: GtModule, ech: Echelon) -> GtModule:
         wt2 = weight_add(wt, _shift(m.rank, sym, i))
         deg2 = deg + k if m.graded else 0
         coeffs, residual = ech.coordinates(img, _closure_label(m, wt2, deg2))
-        assert not residual, "closure is not action stable"
+        if residual:
+            raise InvariantError("closure is not action stable")
         return coeffs
 
     def apply(sym, i, k, vec):
@@ -524,8 +569,6 @@ def _submodule_from_echelon(m: GtModule, ech: Echelon) -> GtModule:
         points=m.points,
         cyclic_index=0,
     )
-    out.ambient = m
-    out.ambient_rows = ech
     out._apply = apply
     return out
 
@@ -533,11 +576,17 @@ def _submodule_from_echelon(m: GtModule, ech: Echelon) -> GtModule:
 def fusion_filtration(m: GtModule, vec) -> GtModule:
     """Associated graded of the t-degree filtration generated by vec.
 
-    F^r is spanned by products of total t-degree at most r applied to
-    vec.  Stage s inserts (a ⊗ t^k) applied to the stage s-k rows and
-    then closes under the degree zero action; the adapted rows form a
-    basis in which row j represents its class in F^{d_j}/F^{d_j - 1}.
-    Raises if vec does not generate m.
+    F^r = U(g[t])_{≤r}·vec is spanned by products of total t-degree at
+    most r applied to vec (Feigin–Loktev 1999).  vec must be a
+    highest-weight vector: it spans its own U(b[t])-submodule.  Then by
+    PBW, F^r = U(n⁻[t])_{≤r}·vec (Chari–Loktev, Weyl, Demazure and
+    fusion modules for the current algebra of sl_{r+1}, 2006,
+    arXiv:math/0502165), so only lowering generators are applied.  That
+    premise is checked exactly first: the Borel phase of _cyclic_closure
+    must accept no row, or ValueError is raised.  Stage s then inserts
+    f_i ⊗ t^k applied to the stage s-k rows and closes under f_i ⊗ t^0;
+    the adapted rows form a basis in which row j represents its class in
+    F^{d_j}/F^{d_j - 1}.  Raises ValueError if vec does not generate m.
     """
     if m.graded:
         raise ValueError("input is already graded")
@@ -546,26 +595,17 @@ def fusion_filtration(m: GtModule, vec) -> GtModule:
     wt0 = m.weight_of(vec)
     ech = Echelon()
     ech.insert(vec, wt0, (wt0, 0))
+    stage = 0  # target tags every accepted row with the current stage
 
-    def close_stage(fresh, stage):
-        todo = list(fresh)
-        while todo:
-            j = todo.pop()
-            row = ech.rows[j]
-            wt = ech.meta[j][0]
-            for sym in "ef":
-                for i in range(1, m.rank + 1):
-                    img = m.act(sym, i, 0, row)
-                    if not img:
-                        continue
-                    wt2 = weight_add(wt, _shift(m.rank, sym, i))
-                    new = ech.insert(img, wt2, (wt2, stage))
-                    if new is not None:
-                        todo.append(new)
+    def target(gen, meta):
+        wt2 = weight_add(meta[0], _shift(m.rank, gen[0], gen[1]))
+        return wt2, (wt2, stage)
 
-    close_stage([0], 0)
+    if _close(ech, [0], _borel_gens(m.rank, m.trunc), m.act, target):
+        raise ValueError("generator is not a highest-weight vector")
+    degree_zero = _lowering_gens(m.rank, (0,))
+    _close(ech, [0], degree_zero, m.act, target)
     by_degree = {0: list(range(len(ech)))}
-    stage = 0
     stalled = 0
     stall_limit = max(m.trunc, 1)
     while len(ech) < m.dim and stalled < stall_limit:
@@ -573,19 +613,10 @@ def fusion_filtration(m: GtModule, vec) -> GtModule:
         before = len(ech)
         fresh = []
         for k in range(1, m.trunc + 1):
+            gens = _lowering_gens(m.rank, (k,))
             for j in by_degree.get(stage - k, ()):
-                row = ech.rows[j]
-                wt = ech.meta[j][0]
-                for sym in "efh":
-                    for i in range(1, m.rank + 1):
-                        img = m.act(sym, i, k, row)
-                        if not img:
-                            continue
-                        wt2 = weight_add(wt, _shift(m.rank, sym, i))
-                        new = ech.insert(img, wt2, (wt2, stage))
-                        if new is not None:
-                            fresh.append(new)
-        close_stage(fresh, stage)
+                fresh += _insert_images(ech, j, gens, m.act, target)
+        _close(ech, fresh, degree_zero, m.act, target)
         added = list(range(before, len(ech)))
         if added:
             by_degree[stage] = added
@@ -605,9 +636,11 @@ def fusion_filtration(m: GtModule, vec) -> GtModule:
         if not img:
             return {}
         coeffs, residual = ech.coordinates(img, weight_add(wt, _shift(m.rank, sym, i)))
-        assert not residual, "adapted basis does not span"
+        if residual:
+            raise InvariantError("adapted basis does not span")
         d2 = d + k
-        assert all(tags[r] <= d2 for r in coeffs), "filtration violated"
+        if any(tags[r] > d2 for r in coeffs):
+            raise InvariantError("filtration violated")
         return {r: c for r, c in coeffs.items() if tags[r] == d2}
 
     def apply(sym, i, k, vec):
@@ -637,8 +670,6 @@ def fusion_filtration(m: GtModule, vec) -> GtModule:
         points=None,
         cyclic_index=0,
     )
-    out.ambient = m
-    out.ambient_rows = ech
     out._apply = apply
     return out
 

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .errors import InvariantError
+
 Weight = tuple  # tuple[int, ...] of length n, fundamental weight basis
 WeylElt = tuple  # permutation of 1..n+1
 
@@ -200,7 +202,8 @@ def weyl_dim(lam) -> int:
         num *= sum(lam[a - 1 : b]) + (b - a + 1)
         den *= b - a + 1
     d, r = divmod(num, den)
-    assert r == 0
+    if r:
+        raise InvariantError("Weyl dimension product is not integral")
     return d
 
 
@@ -328,12 +331,15 @@ def char_simple(lam) -> Character:
                 num += mult[nu] * inner_product(nu, alpha)
         mu_rho = weight_add(mu, rho_w)
         den = norm_top - inner_product(mu_rho, mu_rho)
-        assert den > 0
+        if den <= 0:
+            raise InvariantError("Freudenthal denominator is not positive")
         m = 2 * num / den
-        assert m.denominator == 1 and m >= 1
+        if m.denominator != 1 or m < 1:
+            raise InvariantError("Freudenthal multiplicity is not a positive integer")
         mult[mu] = int(m)
     ch = Character(mult)
-    assert ch.mass() == weyl_dim(lam)
+    if ch.mass() != weyl_dim(lam):
+        raise InvariantError("character mass differs from the Weyl dimension")
     return ch
 
 
@@ -353,12 +359,12 @@ def tensor_decompose(lam, mu) -> dict:
     while rem.mult:
         top = max(rem.mult, key=lambda w: (inner_product(w, rho_w), w))
         c = rem.mult[top]
-        assert is_dominant(top) and c > 0
+        if not is_dominant(top) or c <= 0:
+            raise InvariantError("character division met a non-dominant top weight")
         out[top] = out.get(top, 0) + c
         rem = rem.sub_scaled(char_simple(top), c)
-    assert weyl_dim(lam) * weyl_dim(mu) == sum(
-        m * weyl_dim(w) for w, m in out.items()
-    )
+    if weyl_dim(lam) * weyl_dim(mu) != sum(m * weyl_dim(w) for w, m in out.items()):
+        raise InvariantError("tensor decomposition misses the product dimension")
     return out
 
 

@@ -1,0 +1,105 @@
+"""Property and edge-case tests for the echelon kernel and the closures."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from krfl.linalg import Echelon
+from krfl.modules import (
+    cyclic_submodule,
+    evaluation_module,
+    fusion_filtration,
+    fusion_product,
+    graded_character,
+    simple_gmodule,
+    tensor_modules,
+)
+
+ONE = Fraction(1)
+BLOCKS = 3  # label of index i is i % BLOCKS
+SIZE = 12
+
+coeff = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+)
+
+
+@st.composite
+def block_vectors(draw, count):
+    """Vectors homogeneous for the label i % BLOCKS, with their labels."""
+    out = []
+    for _ in range(draw(st.integers(1, count))):
+        label = draw(st.integers(0, BLOCKS - 1))
+        idx = draw(st.sets(st.sampled_from(range(label, SIZE, BLOCKS)), min_size=1))
+        vec = {i: Fraction(draw(coeff)) for i in idx}
+        vec = {i: x for i, x in vec.items() if x}
+        if vec:
+            out.append((vec, label))
+    return out
+
+
+def _rebuilt(ech, coeffs, residual):
+    out = dict(residual)
+    for r, c in coeffs.items():
+        for i, x in ech.rows[r].items():
+            y = out.get(i, 0) + Fraction(c) * x / ech.scales[r]
+            if y:
+                out[i] = y
+            else:
+                out.pop(i, None)
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(block_vectors(8), block_vectors(4))
+def test_echelon_coordinates_reduce_and_insert_agree(inserted, probes):
+    ech = Echelon()
+    for vec, label in inserted:
+        residual = ech.reduce(vec, label)
+        row = ech.insert(vec, label)
+        assert (row is None) == (residual == {})
+    for vec, label in inserted + probes:
+        coeffs, residual = ech.coordinates(vec, label)
+        assert _rebuilt(ech, coeffs, residual) == vec
+        assert residual == ech.reduce(vec, label)
+        assert ech.reduce(residual, label) == residual
+        if (vec, label) in inserted:
+            assert residual == {}
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.lists(st.integers(-6, 6), min_size=3, max_size=3, unique=True))
+def test_rank_one_fusion_character_is_point_free(points):
+    base = graded_character(fusion_product(1, 1, (2, 1, 1)))
+    assert graded_character(fusion_product(1, 1, (2, 1, 1), points)) == base
+
+
+@settings(max_examples=4, deadline=None)
+@given(st.lists(st.integers(-5, 5), min_size=2, max_size=2, unique=True))
+def test_rank_two_fusion_character_is_point_free(points):
+    base = graded_character(fusion_product(2, 1, (2, 1)))
+    assert graded_character(fusion_product(2, 1, (2, 1), points)) == base
+
+
+def _pair(z0, z1):
+    v = simple_gmodule(1, (1,))
+    return tensor_modules([evaluation_module(v, z0), evaluation_module(v, z1)])
+
+
+def test_fusion_filtration_rejects_non_highest_weight_generator():
+    t = _pair(0, 1)
+    for vec in ({t.flat_index[(1, 0)]: ONE}, {t.flat_index[(1, 1)]: ONE}):
+        with pytest.raises(ValueError, match="highest-weight"):
+            fusion_filtration(t, vec)
+
+
+@settings(max_examples=5, deadline=None)
+@given(st.integers(-3, 3))
+def test_cyclic_submodule_of_lowest_vector_at_one_point(z):
+    t = _pair(z, z)
+    sub = cyclic_submodule(t, {t.flat_index[(1, 1)]: ONE})
+    assert sub.dim == 3
+    assert sorted(sub.weights) == [(-2,), (0,), (2,)]

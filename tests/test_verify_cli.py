@@ -271,6 +271,43 @@ class TestCache:
         path.write_text(json.dumps(data))
         assert load(desc) is None
 
+    def test_entry_from_older_engine_is_a_miss(self, tmp_path, monkeypatch):
+        import krfl.cache
+        from krfl.cache import ENGINE_VERSION, load, store
+        from krfl.modules import GradedCharacter
+
+        monkeypatch.setenv("KRFL_CACHE_DIR", str(tmp_path / "cache"))
+        desc = {"kind": "fusion", "rank": 1, "xi": [1]}
+        gc = GradedCharacter(1, {((1,), 0): 1})
+        monkeypatch.setattr(krfl.cache, "ENGINE_VERSION", ENGINE_VERSION - 1)
+        store(desc, gc)
+        assert load(desc) == gc
+        monkeypatch.setattr(krfl.cache, "ENGINE_VERSION", ENGINE_VERSION)
+        assert load(desc) is None
+        # an unversioned entry, as written before versioning, planted at
+        # the current entry's path is rejected by its descriptor
+        store(desc, gc)
+        path = krfl.cache._entry_path(krfl.cache._stamped(desc))
+        data = json.loads(path.read_text())
+        assert data["descriptor"] == {**desc, "engine": ENGINE_VERSION}
+        data["descriptor"] = desc
+        path.write_text(json.dumps(data))
+        assert load(desc) is None
+
+    def test_fusion_part_order_shares_one_entry(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("KRFL_CACHE_DIR", str(tmp_path / "cache"))
+        base = ["fusion", "--rank", "1", "--node", "1", "--format", "json"]
+        assert main(base + ["--partition", "2,1", "--points", "0,5"]) == 0
+        first = capsys.readouterr().out
+        assert main(base + ["--partition", "1,2", "--points", "5,0"]) == 0
+        assert capsys.readouterr().out == first
+        (entry,) = (tmp_path / "cache").glob("*.json")
+        desc = json.loads(entry.read_text())["descriptor"]
+        assert desc["xi"] == [2, 1] and desc["points"] == ["0", "5"]
+        assert main(base + ["--partition", "1,2"]) == 0
+        assert main(base + ["--partition", "2,1"]) == 0
+        assert len(list((tmp_path / "cache").glob("*.json"))) == 2
+
     def test_corrupt_file_is_ignored(self, tmp_path, monkeypatch):
         from krfl.cache import load, store
         from krfl.modules import GradedCharacter
