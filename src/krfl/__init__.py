@@ -37,7 +37,6 @@ from .lweights import (
     q_factorize,
 )
 from .modules import (
-    GModule,
     GradedCharacter,
     GtModule,
     apply_word,

@@ -3,7 +3,8 @@
 Formats: json (machine readable, stable key order), csv, and an aligned
 table for terminals.  Character-producing commands consult the on-disk
 cache unless --no-cache is given; verification commands always compute
-fresh.  Exit status is 0 exactly when nothing failed.
+fresh.  Exit status is 0 when nothing failed, 1 when a verification
+failed, and 2 on bad input, reported as one line on stderr.
 """
 
 from __future__ import annotations
@@ -160,17 +161,17 @@ def _cmd_demazure(args, out):
 
 
 def _cmd_gendemazure(args, out):
+    # descending, as Partition requires; `1,2` and `2,1` share an entry
+    parts = tuple(sorted(args.partition, reverse=True))
     desc = {
         "kind": "generalized-demazure",
         "rank": args.rank,
         "node": args.node,
-        "xi": list(args.partition),
+        "xi": list(parts),
     }
     gc = cached_character(
         desc,
-        lambda: graded_character(
-            gen_demazure(args.rank, args.node, args.partition)
-        ),
+        lambda: graded_character(gen_demazure(args.rank, args.node, parts)),
         enabled=not args.no_cache,
     )
     _emit_graded(gc, args.format, out)
@@ -303,4 +304,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.run(args, sys.stdout)
+    try:
+        return args.run(args, sys.stdout)
+    except ValueError as exc:
+        # bad input such as a node out of range; exit 2 as argparse does,
+        # apart from 1 for a failed verification.  InvariantError, an
+        # engine fault, is not a ValueError and propagates.
+        print(f"krfl: error: {exc}", file=sys.stderr)
+        return 2

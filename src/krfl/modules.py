@@ -1,10 +1,12 @@
 """Explicit finite dimensional modules, exact over the rationals.
 
-Two layers.  GModule is a module over the finite simple Lie algebra:
-a weighted basis plus sparse action matrices for the Chevalley
-generators.  GtModule is a module over the polynomial current algebra:
-generators are x_i^+ ⊗ t^k, x_i^- ⊗ t^k, h_i ⊗ t^k, addressed by
-(sym, node, k) with sym in "efh".
+One module type.  GtModule is a module over the polynomial current
+algebra: generators are x_i^+ ⊗ t^k, x_i^- ⊗ t^k, h_i ⊗ t^k, addressed
+by (sym, node, k) with sym in "efh".  A module is graded (a degree per
+basis vector), of evaluation type (it carries the points that fix
+every power of t), or a g-module: ungraded, without points and with
+trunc = 0, so only the t^0 generators, the Chevalley generators of the
+finite simple Lie algebra, act on it.
 
 Action matrices are produced on demand by a construction-specific
 builder and cached.  That keeps big tensor products cheap when only a
@@ -30,6 +32,7 @@ from functools import lru_cache
 from .errors import InvariantError
 from .linalg import (
     Echelon,
+    _canon,
     mat_add_scaled,
     mat_apply,
     mat_bracket,
@@ -62,37 +65,7 @@ def _shift(rank, sym, i):
     return zero_weight(rank)
 
 
-class GModule:
-    """Module over the rank-n simple Lie algebra."""
-
-    def __init__(self, rank, weights, mats=None, builder=None, top_index=None):
-        self.rank = rank
-        self.weights = [tuple(w) for w in weights]
-        self._mats = dict(mats or {})
-        self._builder = builder
-        self.top_index = top_index
-
-    @property
-    def dim(self):
-        return len(self.weights)
-
-    def matrix(self, sym, i):
-        key = (sym, i)
-        if key not in self._mats:
-            self._mats[key] = self._builder(sym, i)
-        return self._mats[key]
-
-    def act(self, sym, i, vec):
-        return mat_apply(self.matrix(sym, i), vec)
-
-    def character(self) -> Character:
-        out = {}
-        for w in self.weights:
-            out[w] = out.get(w, 0) + 1
-        return Character(out)
-
-
-def fundamental_gmodule(n: int, i: int) -> GModule:
+def fundamental_gmodule(n: int, i: int) -> GtModule:
     """The i-th exterior power of the natural (n+1)-dimensional module.
 
     Basis: i-element subsets of {1..n+1}; x_i^+ replaces i+1 by i and
@@ -125,40 +98,9 @@ def fundamental_gmodule(n: int, i: int) -> GModule:
         mats[("f", node)] = mat_from_columns(f_cols)
         mats[("h", node)] = mat_from_columns(h_cols)
     top = index[tuple(range(1, i + 1))]
-    return GModule(n, weights, mats=mats, top_index=top)
-
-
-def tensor_gmodules(ms) -> GModule:
-    """Product basis with the Leibniz action; matrices built on demand."""
-    rank = ms[0].rank
-    if any(m.rank != rank for m in ms):
-        raise ValueError("rank mismatch")
-    labels = list(itertools.product(*[range(m.dim) for m in ms]))
-    index = {lab: j for j, lab in enumerate(labels)}
-    weights = []
-    for lab in labels:
-        w = zero_weight(rank)
-        for f, j in enumerate(lab):
-            w = weight_add(w, ms[f].weights[j])
-        weights.append(w)
-
-    def build(sym, i):
-        factor_mats = [m.matrix(sym, i) for m in ms]
-        cols = {}
-        for flat, lab in enumerate(labels):
-            col = {}
-            for f, mf in enumerate(factor_mats):
-                for r, c in mf.get(lab[f], ()):
-                    dest = index[lab[:f] + (r,) + lab[f + 1 :]]
-                    col[dest] = col.get(dest, 0) + c
-            if col:
-                cols[flat] = col
-        return mat_from_columns(cols)
-
-    top = None
-    if all(m.top_index is not None for m in ms):
-        top = index[tuple(m.top_index for m in ms)]
-    return GModule(rank, weights, builder=build, top_index=top)
+    return GtModule(
+        n, weights, None, 0, lambda sym, node, k: mats[(sym, node)], cyclic_index=top
+    )
 
 
 def _borel_gens(rank, trunc):
@@ -207,68 +149,11 @@ def _close(ech, rows, gens, act, target):
     return accepted
 
 
-def _cyclic_closure(ech, rank, trunc, act, target):
-    """Close row 0 of ech, a weight vector v, to a basis of U(g[t])·v.
-
-    By PBW, U(g[t]) = U(n⁻[t]) U(b[t]) (Chari–Loktev, Weyl, Demazure and
-    fusion modules for the current algebra of sl_{r+1}, 2006,
-    arXiv:math/0502165), so the span is closed first under the Borel
-    generators (_borel_gens) and then under the lowering generators
-    f_i ⊗ t^k alone.  For a highest-weight v the first phase accepts no
-    row; that is exactly the premise under which U(n⁻[t])·v already is
-    U(g[t])·v.  For any other v the first phase yields U(b[t])·v, so
-    every weight vector is a valid input.
-    """
-    _close(ech, [0], _borel_gens(rank, trunc), act, target)
-    _close(ech, range(len(ech)), _lowering_gens(rank, range(trunc + 1)), act, target)
-
-
-def _gmodule_closure(amb: GModule, start, start_weight):
-    """Echelon basis of the g-submodule generated by a weight vector,
-    closed as in _cyclic_closure with t-powers 0 only."""
-    ech = Echelon()
-    ech.insert(start, start_weight, start_weight)
-
-    def act(sym, i, k, row):
-        return amb.act(sym, i, row)
-
-    def target(gen, wt):
-        wt2 = weight_add(wt, _shift(amb.rank, gen[0], gen[1]))
-        return wt2, wt2
-
-    _cyclic_closure(ech, amb.rank, 0, act, target)
-    return ech
-
-
-def _gmodule_from_echelon(amb: GModule, ech: Echelon) -> GModule:
-    weights = list(ech.meta)
-
-    def build(sym, i):
-        shift = _shift(amb.rank, sym, i)
-        cols = {}
-        for j, row in enumerate(ech.rows):
-            img = amb.act(sym, i, row)
-            if not img:
-                continue
-            wt2 = weight_add(weights[j], shift)
-            coeffs, residual = ech.coordinates(img, wt2)
-            if residual:
-                raise InvariantError("closure is not action stable")
-            g = ech.scales[j]
-            if g != 1:
-                # row j stores g times the basis vector it represents
-                coeffs = {r: Fraction(c, g) for r, c in coeffs.items()}
-            if coeffs:
-                cols[j] = coeffs
-        return mat_from_columns(cols)
-
-    return GModule(amb.rank, weights, builder=build, top_index=0)
-
-
 @lru_cache(maxsize=None)
-def simple_gmodule(n: int, lam) -> GModule:
-    """The simple module of highest weight lam, realized as the submodule
-    generated by the top pure tensor inside a product of exterior powers."""
+def simple_gmodule(n: int, lam) -> GtModule:
+    """The simple g-module of highest weight lam, realized as the
+    submodule generated by the top pure tensor inside a product of
+    exterior powers."""
     lam = tuple(int(x) for x in lam)
     if len(lam) != n or not is_dominant(lam):
         raise ValueError("weight must be dominant of matching rank")
@@ -276,15 +161,11 @@ def simple_gmodule(n: int, lam) -> GModule:
     for i in range(1, n + 1):
         factors.extend(fundamental_gmodule(n, i) for _ in range(lam[i - 1]))
     if not factors:
-        return GModule(
-            n,
-            [zero_weight(n)],
-            mats={(s, i): {} for s in "efh" for i in range(1, n + 1)},
-            top_index=0,
+        return GtModule(
+            n, [zero_weight(n)], None, 0, lambda sym, i, k: {}, cyclic_index=0
         )
-    amb = tensor_gmodules(factors)
-    ech = _gmodule_closure(amb, {amb.top_index: ONE}, lam)
-    out = _gmodule_from_echelon(amb, ech)
+    amb = tensor_modules(factors)
+    out = cyclic_submodule(amb, {amb.cyclic_index: ONE})
     if out.dim != weyl_dim(lam):
         raise InvariantError("simple module dimension differs from the Weyl dimension")
     return out
@@ -293,10 +174,14 @@ def simple_gmodule(n: int, lam) -> GModule:
 class GtModule:
     """Module over the current algebra, optionally graded.
 
-    degrees is None for evaluation-type modules and a per-basis list
-    for graded ones.  trunc is the largest t-power the construction
-    needs: graded modules return the zero matrix above it, evaluation
-    type modules can produce every power exactly from their points.
+    degrees is None for ungraded modules and a per-basis list for
+    graded ones.  trunc is the largest t-power the construction needs:
+    graded modules return the zero matrix above it, evaluation-type
+    modules can produce every power exactly from their points, and a
+    module without either (a g-module) refuses every power above it.
+    apply, if given, is a vector-level action apply(sym, i, k, vec)
+    that act uses while the matrix is not built: one column of the
+    action costs far less than the full matrix.
     """
 
     def __init__(
@@ -308,6 +193,7 @@ class GtModule:
         builder,
         points=None,
         cyclic_index=None,
+        apply=None,
     ):
         self.rank = rank
         self.weights = [tuple(w) for w in weights]
@@ -317,7 +203,7 @@ class GtModule:
         self.cyclic_index = cyclic_index
         self._builder = builder
         self._mats = {}
-        self._apply = None  # optional vector-level action, set by submodule builders
+        self._apply_vec = apply
 
     @property
     def dim(self):
@@ -329,6 +215,13 @@ class GtModule:
 
     def top_degree(self):
         return max(self.degrees) if self.degrees else 0
+
+    def character(self) -> Character:
+        """Weight multiplicities, forgetting the grading if there is one."""
+        out = {}
+        for w in self.weights:
+            out[w] = out.get(w, 0) + 1
+        return Character(out)
 
     def matrix(self, sym, i, k):
         if k < 0:
@@ -343,24 +236,6 @@ class GtModule:
                 self._mats[key] = self._builder(sym, i, k)
         return self._mats[key]
 
-    def root_matrix(self, sym, interval, k):
-        """Generator for the interval root alpha_a + ... + alpha_b."""
-        a, b = interval
-        if not 1 <= a <= b <= self.rank:
-            raise ValueError("bad interval")
-        if sym == "h":
-            return mat_add_scaled(
-                [(self.matrix("h", j, k), ONE) for j in range(a, b + 1)]
-            )
-        if a == b:
-            return self.matrix(sym, a, k)
-        key = (sym, (a, b), k)
-        if key not in self._mats:
-            self._mats[key] = mat_bracket(
-                self.root_matrix(sym, (a, b - 1), k), self.matrix(sym, b, 0)
-            )
-        return self._mats[key]
-
     def act(self, sym, i, k, vec):
         if k < 0:
             raise ValueError("negative t-power")
@@ -371,9 +246,8 @@ class GtModule:
             return mat_apply(mat, vec)
         if k > self.trunc and self.graded:
             return {}
-        if self._apply is not None:
-            # one column of the action costs far less than the full matrix
-            return self._apply(sym, i, k, vec)
+        if self._apply_vec is not None:
+            return self._apply_vec(sym, i, k, vec)
         return mat_apply(self.matrix(sym, i, k), vec)
 
     def weight_of(self, vec):
@@ -390,12 +264,13 @@ class GtModule:
         return ds.pop()
 
 
-def evaluation_module(m: GModule, z) -> GtModule:
-    """Pull back through evaluation at the point z: a ⊗ t^k acts by z^k a."""
+def evaluation_module(m: GtModule, z) -> GtModule:
+    """Pull a g-module back through evaluation at the point z: a ⊗ t^k
+    acts by z^k a."""
     z = Fraction(z)
 
     def build(sym, i, k):
-        base = m.matrix(sym, i)
+        base = m.matrix(sym, i, 0)
         if k == 0:
             return base
         return mat_scale(base, z**k)
@@ -407,7 +282,7 @@ def evaluation_module(m: GModule, z) -> GtModule:
         0,
         build,
         points=(z,),
-        cyclic_index=m.top_index,
+        cyclic_index=m.cyclic_index,
     )
 
 
@@ -415,10 +290,12 @@ def tensor_modules(ms) -> GtModule:
     """Tensor product with the coproduct action a⊗t^k -> sum over factors.
 
     All evaluation-type factors: the result is evaluation-type with
-    trunc = p - 1 for p factors; higher powers are exact Vandermonde
-    combinations of the stored ones and are computed directly from the
-    points.  All graded factors: the result is graded with trunc = the
-    max factor truncation, since higher powers kill every factor.
+    trunc = p - 1 for p points in all; higher powers are exact
+    Vandermonde combinations of the stored ones and are computed
+    directly from the points.  All graded factors: the result is graded
+    with trunc = the max factor truncation, since higher powers kill
+    every factor.  A factor without points or grading is a g-module,
+    and so is the result: ungraded, no points, trunc = 0.
     """
     rank = ms[0].rank
     if any(m.rank != rank for m in ms):
@@ -455,9 +332,12 @@ def tensor_modules(ms) -> GtModule:
     if graded:
         trunc = max(m.trunc for m in ms)
         points = None
-    else:
-        trunc = len(ms) - 1
+    elif all(m.points is not None for m in ms):
         points = tuple(z for m in ms for z in m.points)
+        trunc = len(points) - 1
+    else:
+        trunc = 0
+        points = None
     cyclic = None
     if all(m.cyclic_index is not None for m in ms):
         cyclic = index[tuple(m.cyclic_index for m in ms)]
@@ -468,29 +348,93 @@ def tensor_modules(ms) -> GtModule:
     return out
 
 
+# a g-module is a GtModule, so the g-module tensor is the same routine
+tensor_gmodules = tensor_modules
+
+
 def _closure_label(m: GtModule, wt, deg):
     return (wt, deg) if m.graded else wt
 
 
 def _lift(ech, part):
-    """Ambient vector for a dict of basis coefficients; rows carry a scale."""
+    """Ambient vector for a dict of basis coefficients; rows carry a scale.
+
+    Integral coefficients stay int: int arithmetic is an order of
+    magnitude faster than Fraction downstream.
+    """
     amb = {}
     for j, c in part.items():
         g = ech.scales[j]
-        vec_iadd_scaled(amb, ech.rows[j], c if g == 1 else Fraction(c, g))
+        vec_iadd_scaled(amb, ech.rows[j], _canon(c if g == 1 else Fraction(c, g)))
     return amb
+
+
+def _module_on_rows(m, ech, degrees, trunc, points, slot):
+    """The module whose basis vector j is row j of ech, acted on through m.
+
+    ech.meta[j] is the (weight, degree) of row j, with degree 0 for an
+    ungraded closure.  The image of a basis vector of degree d under
+    a ⊗ t^k is written in the rows of its block, which must span it,
+    and slot(coeffs, d + k) turns those coordinates into the column of
+    the new module: cyclic_submodule keeps them all, fusion_filtration
+    keeps its graded slot.
+    """
+
+    def coords(sym, i, k, vec, wt, deg):
+        img = m.act(sym, i, k, vec)
+        if not img:
+            return {}
+        wt2 = weight_add(wt, _shift(m.rank, sym, i))
+        coeffs, residual = ech.coordinates(img, _closure_label(m, wt2, deg + k))
+        if residual:
+            raise InvariantError("closure is not action stable")
+        return slot(coeffs, deg + k)
+
+    def apply(sym, i, k, vec):
+        groups = {}
+        for j, c in vec.items():
+            groups.setdefault(ech.meta[j], {})[j] = c
+        out = {}
+        for (wt, deg), part in groups.items():
+            vec_iadd_scaled(out, coords(sym, i, k, _lift(ech, part), wt, deg), 1)
+        return out
+
+    def build(sym, i, k):
+        cols = {}
+        for j, row in enumerate(ech.rows):
+            # act on the integer row, which is scales[j] times basis vector
+            # j, so the ambient action stays in int arithmetic
+            col = coords(sym, i, k, row, *ech.meta[j])
+            g = ech.scales[j]
+            if col:
+                cols[j] = col if g == 1 else {r: Fraction(c, g) for r, c in col.items()}
+        return mat_from_columns(cols)
+
+    return GtModule(
+        m.rank,
+        [meta[0] for meta in ech.meta],
+        degrees,
+        trunc,
+        build,
+        points=points,
+        cyclic_index=0,
+        apply=apply,
+    )
 
 
 def cyclic_submodule(m: GtModule, vec) -> GtModule:
     """Smallest submodule containing vec, with vec's class as row 0.
 
     vec must be weight homogeneous, and degree homogeneous if m is
-    graded.  The closure (_cyclic_closure) first closes vec under the
-    Borel generators e_i ⊗ t^k, h_i ⊗ t^k (k ≥ 1) and then closes the
-    result under the lowering generators f_i ⊗ t^k alone, t-powers up
-    to the truncation; by PBW that is U(g[t])·vec for any weight vector
-    (Chari–Loktev, arXiv:math/0502165), and for a highest-weight vec the
-    first phase adds nothing.  For evaluation-type inputs the
+    graded.  By PBW, U(g[t]) = U(n⁻[t]) U(b[t]) (Chari–Loktev, Weyl,
+    Demazure and fusion modules for the current algebra of sl_{r+1},
+    2006, arXiv:math/0502165), so vec is closed first under the Borel
+    generators (_borel_gens) and the result then under the lowering
+    generators f_i ⊗ t^k alone, t-powers up to the truncation.  For a
+    highest-weight vec the first phase accepts no row; that is exactly
+    the premise under which U(n⁻[t])·vec already is U(g[t])·vec.  For
+    any other vec the first phase yields U(b[t])·vec, so every weight
+    vector is a valid input.  For evaluation-type inputs the
     sufficiency of the truncation is checked by re-applying two extra
     powers afterwards; the action-stability check on every matrix built
     later catches a closure that is not stable under e.
@@ -508,10 +452,13 @@ def cyclic_submodule(m: GtModule, vec) -> GtModule:
         deg2 = meta[1] + k if m.graded else 0
         return _closure_label(m, wt2, deg2), (wt2, deg2)
 
-    _cyclic_closure(ech, m.rank, m.trunc, m.act, target)
+    _close(ech, [0], _borel_gens(m.rank, m.trunc), m.act, target)
+    lowering = _lowering_gens(m.rank, range(m.trunc + 1))
+    _close(ech, range(len(ech)), lowering, m.act, target)
     if m.points is not None and not m.graded:
         _assert_truncation_sufficient(m, ech)
-    return _submodule_from_echelon(m, ech)
+    degrees = [meta[1] for meta in ech.meta] if m.graded else None
+    return _module_on_rows(m, ech, degrees, m.trunc, m.points, lambda coeffs, d: coeffs)
 
 
 def _assert_truncation_sufficient(m: GtModule, ech: Echelon):
@@ -526,53 +473,6 @@ def _assert_truncation_sufficient(m: GtModule, ech: Echelon):
                         raise InvariantError("truncated generator set failed to close")
 
 
-def _submodule_from_echelon(m: GtModule, ech: Echelon) -> GtModule:
-    weights = [meta[0] for meta in ech.meta]
-    degrees = [meta[1] for meta in ech.meta] if m.graded else None
-
-    def push(sym, i, k, part, wt, deg):
-        """Act on one homogeneous piece and express the image in rows."""
-        img = m.act(sym, i, k, _lift(ech, part))
-        if not img:
-            return {}
-        wt2 = weight_add(wt, _shift(m.rank, sym, i))
-        deg2 = deg + k if m.graded else 0
-        coeffs, residual = ech.coordinates(img, _closure_label(m, wt2, deg2))
-        if residual:
-            raise InvariantError("closure is not action stable")
-        return coeffs
-
-    def apply(sym, i, k, vec):
-        groups = {}
-        for j, c in vec.items():
-            groups.setdefault(ech.meta[j], {})[j] = c
-        out = {}
-        for (wt, deg), part in groups.items():
-            vec_iadd_scaled(out, push(sym, i, k, part, wt, deg), ONE)
-        return out
-
-    def build(sym, i, k):
-        cols = {}
-        for j in range(len(ech.rows)):
-            wt, deg = ech.meta[j]
-            coeffs = push(sym, i, k, {j: ONE}, wt, deg)
-            if coeffs:
-                cols[j] = coeffs
-        return mat_from_columns(cols)
-
-    out = GtModule(
-        m.rank,
-        weights,
-        degrees,
-        m.trunc,
-        build,
-        points=m.points,
-        cyclic_index=0,
-    )
-    out._apply = apply
-    return out
-
-
 def fusion_filtration(m: GtModule, vec) -> GtModule:
     """Associated graded of the t-degree filtration generated by vec.
 
@@ -582,11 +482,12 @@ def fusion_filtration(m: GtModule, vec) -> GtModule:
     PBW, F^r = U(n⁻[t])_{≤r}·vec (Chari–Loktev, Weyl, Demazure and
     fusion modules for the current algebra of sl_{r+1}, 2006,
     arXiv:math/0502165), so only lowering generators are applied.  That
-    premise is checked exactly first: the Borel phase of _cyclic_closure
-    must accept no row, or ValueError is raised.  Stage s then inserts
-    f_i ⊗ t^k applied to the stage s-k rows and closes under f_i ⊗ t^0;
-    the adapted rows form a basis in which row j represents its class in
-    F^{d_j}/F^{d_j - 1}.  Raises ValueError if vec does not generate m.
+    premise is checked exactly first: the Borel phase of
+    cyclic_submodule must accept no row, or ValueError is raised.
+    Stage s then inserts f_i ⊗ t^k applied to the stage s-k rows and
+    closes under f_i ⊗ t^0; the adapted rows form a basis in which row
+    j represents its class in F^{d_j}/F^{d_j - 1}.  Raises ValueError
+    if vec does not generate m.
     """
     if m.graded:
         raise ValueError("input is already graded")
@@ -626,52 +527,15 @@ def fusion_filtration(m: GtModule, vec) -> GtModule:
     if len(ech) < m.dim:
         raise ValueError("vector is not cyclic")
 
-    weights = [meta[0] for meta in ech.meta]
     tags = [meta[1] for meta in ech.meta]
-    top = max(tags)
 
-    def push(sym, i, k, part, wt, d):
-        """Image of one (weight, degree) piece, truncated to its graded slot."""
-        img = m.act(sym, i, k, _lift(ech, part))
-        if not img:
-            return {}
-        coeffs, residual = ech.coordinates(img, weight_add(wt, _shift(m.rank, sym, i)))
-        if residual:
-            raise InvariantError("adapted basis does not span")
-        d2 = d + k
-        if any(tags[r] > d2 for r in coeffs):
+    def slot(coeffs, d):
+        """Truncate an image of degree d to F^d/F^{d-1}."""
+        if any(tags[r] > d for r in coeffs):
             raise InvariantError("filtration violated")
-        return {r: c for r, c in coeffs.items() if tags[r] == d2}
+        return {r: c for r, c in coeffs.items() if tags[r] == d}
 
-    def apply(sym, i, k, vec):
-        groups = {}
-        for j, c in vec.items():
-            groups.setdefault(ech.meta[j], {})[j] = c
-        out = {}
-        for (wt, d), part in groups.items():
-            vec_iadd_scaled(out, push(sym, i, k, part, wt, d), ONE)
-        return out
-
-    def build(sym, i, k):
-        cols = {}
-        for j in range(len(ech.rows)):
-            wt, d = ech.meta[j]
-            col = push(sym, i, k, {j: ONE}, wt, d)
-            if col:
-                cols[j] = col
-        return mat_from_columns(cols)
-
-    out = GtModule(
-        m.rank,
-        weights,
-        tags,
-        top,
-        build,
-        points=None,
-        cyclic_index=0,
-    )
-    out._apply = apply
-    return out
+    return _module_on_rows(m, ech, tags, max(tags), None, slot)
 
 
 def default_points(p: int):
@@ -780,13 +644,13 @@ def _root_apply(m, sym, interval, k, vec):
     if sym == "h":
         out = {}
         for j in range(a, b + 1):
-            vec_iadd_scaled(out, m.act("h", j, k, vec), ONE)
+            vec_iadd_scaled(out, m.act("h", j, k, vec), 1)
         return out
     if a == b:
         return m.act(sym, a, k, vec)
     inner = (a, b - 1)
     out = _root_apply(m, sym, inner, k, m.act(sym, b, 0, vec))
-    vec_iadd_scaled(out, m.act(sym, b, 0, _root_apply(m, sym, inner, k, vec)), -ONE)
+    vec_iadd_scaled(out, m.act(sym, b, 0, _root_apply(m, sym, inner, k, vec)), -1)
     return out
 
 
@@ -822,60 +686,37 @@ def _check_homogeneous(rank, weights, degrees, sym, i, k, mat, report):
                 return
 
 
-def check_gmodule_axioms(m: GModule) -> list:
-    report = []
-    cart = cartan_matrix(m.rank)
-    for i in range(1, m.rank + 1):
-        diag = mat_from_columns(
-            {
-                j: {j: Fraction(m.weights[j][i - 1])}
-                for j in range(m.dim)
-                if m.weights[j][i - 1]
-            }
-        )
-        if not mat_eq(m.matrix("h", i), diag):
-            report.append(f"h_{i} is not the weight diagonal")
-        for sym in "ef":
-            _check_homogeneous(
-                m.rank, m.weights, None, sym, i, 0, m.matrix(sym, i), report
-            )
-    for i in range(1, m.rank + 1):
-        for j in range(1, m.rank + 1):
-            b = mat_bracket(m.matrix("e", i), m.matrix("f", j))
-            want = m.matrix("h", i) if i == j else {}
-            if not mat_eq(b, want):
-                report.append(f"[e_{i}, f_{j}] wrong")
-            a = Fraction(cart[i - 1][j - 1])
-            if not mat_eq(
-                mat_bracket(m.matrix("h", i), m.matrix("e", j)),
-                mat_scale(m.matrix("e", j), a),
-            ):
-                report.append(f"[h_{i}, e_{j}] wrong")
-            if not mat_eq(
-                mat_bracket(m.matrix("h", i), m.matrix("f", j)),
-                mat_scale(m.matrix("f", j), -a),
-            ):
-                report.append(f"[h_{i}, f_{j}] wrong")
-    return report
-
-
-def check_axioms(m) -> list:
+def check_axioms(m: GtModule) -> list:
     """Exact verification of the defining identities; empty list = pass.
 
-    For current-algebra modules: weight and degree homogeneity of every
-    stored generator; loop brackets [a t^r, b t^s] = [a, b] t^{r+s} for
-    r + s within the truncation across all generator pairs whose
+    h_i ⊗ t^0 is the weight diagonal; weight and degree homogeneity of
+    every stored generator; loop brackets [a t^r, b t^s] = [a, b] t^{r+s}
+    for r + s within the truncation across all generator pairs whose
     bracket is again expressible (e-f, h-e, h-f, h-h, and e-e / f-f
-    through interval root vectors); vanishing above the top degree for
-    graded modules; and the dependence of the p-th power on lower
-    powers forced by the points of an evaluation tensor.
+    through interval root vectors, built column by column with
+    _root_apply); vanishing above the top degree for graded modules;
+    and the dependence of the p-th power on lower powers forced by the
+    points of an evaluation tensor.  A g-module (trunc 0) is checked at
+    t^0 alone.
     """
-    if isinstance(m, GModule):
-        return check_gmodule_axioms(m)
     report = []
     n = m.rank
     cart = cartan_matrix(n)
     kmax = m.trunc
+    roots = {}
+
+    def adjacent_root(sym, a, k):
+        """Generator for alpha_a + alpha_{a+1} at t^k, cached per call."""
+        key = (sym, a, k)
+        if key not in roots:
+            cols = {c: _root_apply(m, sym, (a, a + 1), k, {c: 1}) for c in range(m.dim)}
+            roots[key] = mat_from_columns(cols)
+        return roots[key]
+
+    for i in range(1, n + 1):
+        diag = mat_from_columns({j: {j: w[i - 1]} for j, w in enumerate(m.weights)})
+        if not mat_eq(m.matrix("h", i, 0), diag):
+            report.append(f"h_{i} is not the weight diagonal")
     for sym in "efh":
         for i in range(1, n + 1):
             for k in range(kmax + 1):
@@ -908,9 +749,9 @@ def check_axioms(m) -> list:
                     for sym in "ef":
                         b = mat_bracket(m.matrix(sym, i, r), m.matrix(sym, j, s))
                         if j == i + 1:
-                            want = m.root_matrix(sym, (i, j), r + s)
+                            want = adjacent_root(sym, i, r + s)
                         elif i == j + 1:
-                            want = mat_scale(m.root_matrix(sym, (j, i), r + s), -ONE)
+                            want = mat_scale(adjacent_root(sym, j, r + s), -ONE)
                         else:
                             want = {}
                         if not mat_eq(b, want):

@@ -54,7 +54,7 @@ class TestFundamental:
         lam = fundamental_weight(n, i)
         assert m.dim == weyl_dim(lam)
         assert m.character() == char_simple(lam)
-        assert m.weights[m.top_index] == lam
+        assert m.weights[m.cyclic_index] == lam
 
     def test_node_out_of_range(self):
         with pytest.raises(ValueError):
@@ -76,8 +76,8 @@ class TestSimple:
     def test_trivial(self):
         m = simple_gmodule(2, (0, 0))
         assert m.dim == 1
-        assert m.matrix("e", 1) == {}
-        assert m.matrix("h", 2) == {}
+        assert m.matrix("e", 1, 0) == {}
+        assert m.matrix("h", 2, 0) == {}
         assert check_axioms(m) == []
 
     @pytest.mark.parametrize(
@@ -91,9 +91,9 @@ class TestSimple:
 
     def test_top_vector_is_singular(self):
         m = simple_gmodule(2, (1, 1))
-        v = {m.top_index: ONE}
-        assert m.act("e", 1, v) == {}
-        assert m.act("e", 2, v) == {}
+        v = {m.cyclic_index: ONE}
+        assert m.act("e", 1, 0, v) == {}
+        assert m.act("e", 2, 0, v) == {}
 
     def test_non_dominant_rejected(self):
         with pytest.raises(ValueError):
@@ -150,6 +150,15 @@ class TestCurrentTensor:
         assert t.trunc == 1
         assert t.points == (Fraction(0), Fraction(3))
         assert check_axioms(t) == []
+
+    def test_nested_tensor_matches_flat(self):
+        ev = [evaluation_module(simple_gmodule(1, (1,)), z) for z in (0, 1, 2)]
+        flat = tensor_modules(ev)
+        nested = tensor_modules([tensor_modules(ev[:2]), ev[2]])
+        assert nested.trunc == flat.trunc == 2
+        assert cyclic_submodule(nested, top_vec(nested)).dim == 8
+        want = graded_character(fusion_filtration(flat, top_vec(flat)))
+        assert graded_character(fusion_filtration(nested, top_vec(nested))) == want
 
     def test_weights_add(self):
         a = evaluation_module(simple_gmodule(2, (1, 0)), 0)
@@ -337,9 +346,9 @@ class TestApplyWord:
 class TestAxiomChecker:
     def test_detects_corrupted_table(self):
         m = fundamental_gmodule(2, 1)
-        m.matrix("e", 1)
+        m.matrix("e", 1, 0)
         bad = mat_from_columns({0: {1: ONE}})
-        m._mats[("e", 1)] = bad
+        m._mats[("e", 1, 0)] = bad
         assert check_axioms(m) != []
 
     def test_detects_corrupted_current_table(self):

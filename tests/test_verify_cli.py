@@ -4,6 +4,7 @@ import pytest
 
 import krfl.cli
 import krfl.verify
+from krfl import InvariantError
 from krfl.cli import main
 from krfl.modules import fusion_product, graded_character
 from krfl.verify import (
@@ -221,6 +222,31 @@ class TestCli:
         )
         assert rc == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fusion", "--rank", "2", "--node", "3", "--partition", "1"],
+            ["fusion", "--rank", "1", "--node", "1", "--partition", "1,1",
+             "--points", "2,2"],
+            ["demazure", "--rank", "1", "--ell", "0", "--lambda", "2"],
+        ],
+        ids=["node-out-of-range", "repeated-points", "level-zero"],
+    )
+    def test_bad_input_exits_two_with_one_line(self, argv, capsys):
+        assert main(argv + ["--no-cache"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("krfl: error: ")
+
+    def test_engine_fault_is_not_bad_input(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise InvariantError("closure is not action stable")
+
+        monkeypatch.setattr(krfl.cli, "verify_main", broken)
+        with pytest.raises(InvariantError):
+            main(["verify-main", "--rank", "1", "--node", "1", "--partition", "1"])
+
     def test_verify_suite_small(self, capsys):
         rc = main(
             ["verify-suite", "--max-rank", "1", "--max-size", "2",
@@ -307,6 +333,16 @@ class TestCache:
         assert main(base + ["--partition", "1,2"]) == 0
         assert main(base + ["--partition", "2,1"]) == 0
         assert len(list((tmp_path / "cache").glob("*.json"))) == 2
+
+    def test_gendemazure_part_order_shares_one_entry(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("KRFL_CACHE_DIR", str(tmp_path / "cache"))
+        base = ["gendemazure", "--rank", "1", "--node", "1", "--format", "json"]
+        assert main(base + ["--partition", "2,1"]) == 0
+        first = capsys.readouterr().out
+        assert main(base + ["--partition", "1,2"]) == 0
+        assert capsys.readouterr().out == first
+        (entry,) = (tmp_path / "cache").glob("*.json")
+        assert json.loads(entry.read_text())["descriptor"]["xi"] == [2, 1]
 
     def test_corrupt_file_is_ignored(self, tmp_path, monkeypatch):
         from krfl.cache import load, store
