@@ -102,7 +102,7 @@ def _emit_reports(reports, fmt, out):
 
 def _validated_weight(rank, weight):
     if len(weight) != rank:
-        raise SystemExit(f"weight has {len(weight)} coordinates, rank is {rank}")
+        raise ValueError(f"weight has {len(weight)} coordinates, rank is {rank}")
     return weight
 
 
@@ -179,7 +179,14 @@ def _cmd_gendemazure(args, out):
 
 
 def _cmd_qfactor(args, out):
-    text = sys.stdin.read() if args.file == "-" else open(args.file).read()
+    if args.file == "-":
+        text = sys.stdin.read()
+    else:
+        try:
+            with open(args.file) as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ValueError(f"cannot read {args.file}: {exc.strerror}") from exc
     pi = LWeight.from_json(args.rank, json.loads(text))
     factors = q_factorize(pi)
     data = [{"node": f.node, "center": f.center, "len": f.length} for f in factors]

@@ -9,9 +9,16 @@ trunc = 0, so only the t^0 generators, the Chevalley generators of the
 finite simple Lie algebra, act on it.
 
 Action matrices are produced on demand by a construction-specific
-builder and cached.  That keeps big tensor products cheap when only a
-handful of generators is ever applied: characters and relation checks
-read the matrices they touch and nothing else.
+builder and cached.  One rule, fixed by the call site, picks the form
+of the action.  Work on a single vector (the Borel phase of a closure,
+relation words, root vectors, the action of a subquotient) goes
+through act, which uses the cached matrix if there is one and the
+module's vector-level action otherwise; a tensor product moves the
+factor images of the vector's coordinates into place and builds no
+matrix of its own.  A pass over every row (the lowering closures, the
+truncation check, a subquotient matrix) reads matrix once per
+generator and applies it row by row.  So neither the Borel phase nor
+a relation word builds a matrix of an ambient tensor product.
 
 Vectors are sparse dicts in the module's own coordinates.  Every basis
 element is weight homogeneous (and degree homogeneous in the graded
@@ -26,6 +33,7 @@ the resulting sign convention.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -134,6 +142,20 @@ def _insert_images(ech, j, gens, act, target):
     return out
 
 
+def _row_pass(m):
+    """The action for a pass over every row: each generator's matrix is
+    read (and built, if need be) once and applied row by row."""
+    mats = {}
+
+    def act(sym, i, k, vec):
+        key = (sym, i, k)
+        if key not in mats:
+            mats[key] = m.matrix(*key)
+        return mat_apply(mats[key], vec)
+
+    return act
+
+
 def _close(ech, rows, gens, act, target):
     """Close the span of ech under gens, starting from the given rows.
 
@@ -179,9 +201,10 @@ class GtModule:
     graded modules return the zero matrix above it, evaluation-type
     modules can produce every power exactly from their points, and a
     module without either (a g-module) refuses every power above it.
-    apply, if given, is a vector-level action apply(sym, i, k, vec)
-    that act uses while the matrix is not built: one column of the
-    action costs far less than the full matrix.
+    apply, if given, is a vector-level action apply(sym, i, k, vec).
+    act, the path for work on one vector, uses it while the matrix is
+    not cached; a pass over every row reads matrix instead, which
+    builds and caches the whole matrix once.
     """
 
     def __init__(
@@ -223,17 +246,22 @@ class GtModule:
             out[w] = out.get(w, 0) + 1
         return Character(out)
 
-    def matrix(self, sym, i, k):
+    def _acts_by_zero(self, k):
+        """Whether t^k acts by zero; raises if the module cannot produce it."""
         if k < 0:
             raise ValueError("negative t-power")
+        if k <= self.trunc:
+            return False
+        if self.graded:
+            return True
+        if self.points is None:
+            raise ValueError("t-power beyond truncation and no point data")
+        return False
+
+    def matrix(self, sym, i, k):
         key = (sym, i, k)
         if key not in self._mats:
-            if k > self.trunc and self.graded:
-                self._mats[key] = {}
-            elif k > self.trunc and self.points is None:
-                raise ValueError("t-power beyond truncation and no point data")
-            else:
-                self._mats[key] = self._builder(sym, i, k)
+            self._mats[key] = {} if self._acts_by_zero(k) else self._builder(sym, i, k)
         return self._mats[key]
 
     def act(self, sym, i, k, vec):
@@ -242,13 +270,9 @@ class GtModule:
         if not vec:
             return {}
         mat = self._mats.get((sym, i, k))
-        if mat is not None:
-            return mat_apply(mat, vec)
-        if k > self.trunc and self.graded:
-            return {}
-        if self._apply_vec is not None:
-            return self._apply_vec(sym, i, k, vec)
-        return mat_apply(self.matrix(sym, i, k), vec)
+        if mat is None and self._apply_vec is not None:
+            return {} if self._acts_by_zero(k) else self._apply_vec(sym, i, k, vec)
+        return mat_apply(self.matrix(sym, i, k) if mat is None else mat, vec)
 
     def weight_of(self, vec):
         """The common weight of the support, or raise if mixed."""
@@ -305,7 +329,15 @@ def tensor_modules(ms) -> GtModule:
         raise ValueError("cannot mix graded and evaluation factors")
     graded = gradedness.pop()
     labels = list(itertools.product(*[range(m.dim) for m in ms]))
-    index = {lab: j for j, lab in enumerate(labels)}
+    # flat = sum of lab[f] * strides[f], so factor f moving its coordinate
+    # from j to r moves the flat index by (r - j) * strides[f].  Every
+    # vector and matrix takes its indices from flats, one int object per
+    # index, so dict lookups in the elimination sweep match keys by
+    # identity instead of comparing equal ints.
+    dims = [m.dim for m in ms]
+    strides = [math.prod(dims[f + 1 :]) for f in range(len(ms))]
+    flats = list(range(len(labels)))
+    index = dict(zip(labels, flats))
     weights = []
     degrees = [] if graded else None
     for lab in labels:
@@ -317,17 +349,42 @@ def tensor_modules(ms) -> GtModule:
             degrees.append(sum(ms[f].degrees[j] for f, j in enumerate(lab)))
 
     def build(sym, i, k):
-        factor_mats = [m.matrix(sym, i, k) for m in ms]
+        factor_mats = [
+            (mat, st, d)
+            for mat, st, d in zip((m.matrix(sym, i, k) for m in ms), strides, dims)
+            if mat
+        ]
         cols = {}
-        for flat, lab in enumerate(labels):
+        for flat in flats:
             col = {}
-            for f, mf in enumerate(factor_mats):
-                for r, c in mf.get(lab[f], ()):
-                    dest = index[lab[:f] + (r,) + lab[f + 1 :]]
+            for mat, st, d in factor_mats:
+                j = flat // st % d
+                for r, c in mat.get(j, ()):
+                    dest = flats[flat + (r - j) * st]
                     col[dest] = col.get(dest, 0) + c
             if col:
                 cols[flat] = col
         return mat_from_columns(cols)
+
+    def apply(sym, i, k, vec):
+        """The coproduct action on one vector: each factor acts once on
+        each of its coordinates that occurs in vec."""
+        out = {}
+        for m, st, d in zip(ms, strides, dims):
+            images = {}
+            for flat, x in vec.items():
+                j = flat // st % d
+                img = images.get(j)
+                if img is None:
+                    img = images[j] = m.act(sym, i, k, {j: 1})
+                for r, c in img.items():
+                    dest = flats[flat + (r - j) * st]
+                    y = out.get(dest, 0) + x * c
+                    if y:
+                        out[dest] = y
+                    else:
+                        out.pop(dest, None)
+        return out
 
     if graded:
         trunc = max(m.trunc for m in ms)
@@ -342,7 +399,14 @@ def tensor_modules(ms) -> GtModule:
     if all(m.cyclic_index is not None for m in ms):
         cyclic = index[tuple(m.cyclic_index for m in ms)]
     out = GtModule(
-        rank, weights, degrees, trunc, build, points=points, cyclic_index=cyclic
+        rank,
+        weights,
+        degrees,
+        trunc,
+        build,
+        points=points,
+        cyclic_index=cyclic,
+        apply=apply,
     )
     out.flat_index = index
     return out
@@ -377,11 +441,12 @@ def _module_on_rows(m, ech, degrees, trunc, points, slot):
     a ⊗ t^k is written in the rows of its block, which must span it,
     and slot(coeffs, d + k) turns those coordinates into the column of
     the new module: cyclic_submodule keeps them all, fusion_filtration
-    keeps its graded slot.
+    keeps its graded slot.  The action on one vector lifts it to m and
+    goes through m.act; a matrix reads m.matrix once and applies it to
+    every row.
     """
 
-    def coords(sym, i, k, vec, wt, deg):
-        img = m.act(sym, i, k, vec)
+    def coords(sym, i, k, img, wt, deg):
         if not img:
             return {}
         wt2 = weight_add(wt, _shift(m.rank, sym, i))
@@ -396,15 +461,17 @@ def _module_on_rows(m, ech, degrees, trunc, points, slot):
             groups.setdefault(ech.meta[j], {})[j] = c
         out = {}
         for (wt, deg), part in groups.items():
-            vec_iadd_scaled(out, coords(sym, i, k, _lift(ech, part), wt, deg), 1)
+            img = m.act(sym, i, k, _lift(ech, part))
+            vec_iadd_scaled(out, coords(sym, i, k, img, wt, deg), 1)
         return out
 
     def build(sym, i, k):
+        mat = m.matrix(sym, i, k)
         cols = {}
         for j, row in enumerate(ech.rows):
             # act on the integer row, which is scales[j] times basis vector
             # j, so the ambient action stays in int arithmetic
-            col = coords(sym, i, k, row, *ech.meta[j])
+            col = coords(sym, i, k, mat_apply(mat, row), *ech.meta[j])
             g = ech.scales[j]
             if col:
                 cols[j] = col if g == 1 else {r: Fraction(c, g) for r, c in col.items()}
@@ -454,7 +521,7 @@ def cyclic_submodule(m: GtModule, vec) -> GtModule:
 
     _close(ech, [0], _borel_gens(m.rank, m.trunc), m.act, target)
     lowering = _lowering_gens(m.rank, range(m.trunc + 1))
-    _close(ech, range(len(ech)), lowering, m.act, target)
+    _close(ech, range(len(ech)), lowering, _row_pass(m), target)
     if m.points is not None and not m.graded:
         _assert_truncation_sufficient(m, ech)
     degrees = [meta[1] for meta in ech.meta] if m.graded else None
@@ -462,14 +529,13 @@ def cyclic_submodule(m: GtModule, vec) -> GtModule:
 
 
 def _assert_truncation_sufficient(m: GtModule, ech: Echelon):
-    for j, row in enumerate(ech.rows):
-        wt = ech.meta[j][0]
-        for sym in "efh":
-            for i in range(1, m.rank + 1):
-                for k in (m.trunc + 1, m.trunc + 2):
-                    img = m.act(sym, i, k, row)
-                    wt2 = weight_add(wt, _shift(m.rank, sym, i))
-                    if ech.reduce(img, wt2):
+    for sym in "efh":
+        for i in range(1, m.rank + 1):
+            shift = _shift(m.rank, sym, i)
+            for k in (m.trunc + 1, m.trunc + 2):
+                mat = m.matrix(sym, i, k)
+                for row, meta in zip(ech.rows, ech.meta):
+                    if ech.reduce(mat_apply(mat, row), weight_add(meta[0], shift)):
                         raise InvariantError("truncated generator set failed to close")
 
 
@@ -505,7 +571,8 @@ def fusion_filtration(m: GtModule, vec) -> GtModule:
     if _close(ech, [0], _borel_gens(m.rank, m.trunc), m.act, target):
         raise ValueError("generator is not a highest-weight vector")
     degree_zero = _lowering_gens(m.rank, (0,))
-    _close(ech, [0], degree_zero, m.act, target)
+    lower = _row_pass(m)
+    _close(ech, [0], degree_zero, lower, target)
     by_degree = {0: list(range(len(ech)))}
     stalled = 0
     stall_limit = max(m.trunc, 1)
@@ -516,8 +583,8 @@ def fusion_filtration(m: GtModule, vec) -> GtModule:
         for k in range(1, m.trunc + 1):
             gens = _lowering_gens(m.rank, (k,))
             for j in by_degree.get(stage - k, ()):
-                fresh += _insert_images(ech, j, gens, m.act, target)
-        _close(ech, fresh, degree_zero, m.act, target)
+                fresh += _insert_images(ech, j, gens, lower, target)
+        _close(ech, fresh, degree_zero, lower, target)
         added = list(range(before, len(ech)))
         if added:
             by_degree[stage] = added

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from krfl.demazure import check_demazure_relations
 from krfl.linalg import mat_from_columns
 from krfl.modules import (
     GradedCharacter,
@@ -159,6 +160,19 @@ class TestCurrentTensor:
         assert cyclic_submodule(nested, top_vec(nested)).dim == 8
         want = graded_character(fusion_filtration(flat, top_vec(flat)))
         assert graded_character(fusion_filtration(nested, top_vec(nested))) == want
+
+    def test_relation_check_builds_only_lowering_matrices(self):
+        # the Borel phase and the relation words act on single vectors,
+        # so only the lowering closure may build ambient matrices
+        lams = [(1, 0), (1, 0), (0, 1)]
+        amb = tensor_modules(
+            [evaluation_module(simple_gmodule(2, lam), z) for z, lam in enumerate(lams)]
+        )
+        fus = fusion_filtration(amb, top_vec(amb))
+        assert fus.dim == 27
+        assert check_demazure_relations(fus, {0: ONE}, 1, (2, 1)) == []
+        assert amb._mats
+        assert {sym for sym, _, _ in amb._mats} == {"f"}
 
     def test_weights_add(self):
         a = evaluation_module(simple_gmodule(2, (1, 0)), 0)

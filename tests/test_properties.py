@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from krfl.linalg import Echelon
+from krfl.demazure import local_weyl
+from krfl.linalg import Echelon, mat_apply
 from krfl.modules import (
     cyclic_submodule,
     evaluation_module,
+    fundamental_gmodule,
     fusion_filtration,
     fusion_product,
     graded_character,
@@ -103,3 +105,43 @@ def test_cyclic_submodule_of_lowest_vector_at_one_point(z):
     sub = cyclic_submodule(t, {t.flat_index[(1, 1)]: ONE})
     assert sub.dim == 3
     assert sorted(sub.weights) == [(-2,), (0,), (2,)]
+
+
+def _evaluation_tensor(lams, points):
+    return tensor_modules(
+        [evaluation_module(simple_gmodule(2, lam), z) for lam, z in zip(lams, points)]
+    )
+
+
+TENSORS = {
+    "g-module": lambda: tensor_modules([fundamental_gmodule(2, i) for i in (1, 2, 1)]),
+    "evaluation-pair": lambda: _evaluation_tensor([(1, 1), (1, 0)], (0, 2)),
+    "evaluation-triple": lambda: _evaluation_tensor(
+        [(1, 0), (0, 1), (1, 0)], (-1, 0, 3)
+    ),
+    "graded-pair": lambda: tensor_modules(
+        [local_weyl(2, (1, 1)), local_weyl(2, (1, 0))]
+    ),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_vector_action_of_tensor_equals_matrix_action(data):
+    amb = TENSORS[data.draw(st.sampled_from(sorted(TENSORS)))]()
+    idx = data.draw(st.sets(st.integers(0, amb.dim - 1), min_size=1, max_size=6))
+    vec = {j: data.draw(st.integers(-3, 3).filter(bool)) for j in sorted(idx)}
+    sym = data.draw(st.sampled_from("efh"))
+    i = data.draw(st.integers(1, amb.rank))
+    # k = trunc + 1 and trunc + 2 reach past the stored powers
+    k = data.draw(st.integers(0, amb.trunc + 2))
+    assert not amb._mats
+    if k > amb.trunc and amb.points is None and not amb.graded:
+        with pytest.raises(ValueError):
+            amb.act(sym, i, k, vec)
+        with pytest.raises(ValueError):
+            amb.matrix(sym, i, k)
+        return
+    img = amb.act(sym, i, k, vec)
+    assert not amb._mats
+    assert img == mat_apply(amb.matrix(sym, i, k), vec)

@@ -149,8 +149,7 @@ class TestCli:
         ]
 
     def test_char_rank_mismatch(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["char", "--rank", "2", "--weight", "1"])
+        assert main(["char", "--rank", "2", "--weight", "1"]) == 2
 
     def test_fusion_matches_library(self, capsys):
         rc = main(
@@ -225,15 +224,28 @@ class TestCli:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["fusion", "--rank", "2", "--node", "3", "--partition", "1"],
+            ["fusion", "--rank", "2", "--node", "3", "--partition", "1",
+             "--no-cache"],
             ["fusion", "--rank", "1", "--node", "1", "--partition", "1,1",
-             "--points", "2,2"],
-            ["demazure", "--rank", "1", "--ell", "0", "--lambda", "2"],
+             "--points", "2,2", "--no-cache"],
+            ["demazure", "--rank", "1", "--ell", "0", "--lambda", "2",
+             "--no-cache"],
+            ["char", "--rank", "2", "--weight", "1"],
+            ["demazure", "--rank", "2", "--ell", "1", "--lambda", "1",
+             "--no-cache"],
+            ["qfactor", "--rank", "1", "--file", "no-such-dir/pi.json"],
         ],
-        ids=["node-out-of-range", "repeated-points", "level-zero"],
+        ids=[
+            "node-out-of-range",
+            "repeated-points",
+            "level-zero",
+            "char-weight-length",
+            "demazure-weight-length",
+            "qfactor-unreadable-file",
+        ],
     )
     def test_bad_input_exits_two_with_one_line(self, argv, capsys):
-        assert main(argv + ["--no-cache"]) == 2
+        assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         [line] = captured.err.splitlines()
