@@ -125,6 +125,7 @@ def _canonical_fusion(parts, points):
 
 def _cmd_fusion(args, out):
     parts, points = _canonical_fusion(args.partition, args.points)
+    Partition(parts)  # rejects a zero or negative part
     desc = {
         "kind": "fusion",
         "rank": args.rank,
@@ -204,13 +205,21 @@ def _cmd_qfactor(args, out):
     return 0
 
 
+def _at_least_one(**options):
+    for name, value in options.items():
+        if value < 1:
+            raise ValueError(f"--{name.replace('_', '-')} must be at least 1, got {value}")
+
+
 def _cmd_verify_main(args, out):
+    _at_least_one(cap=args.cap)
     r = verify_main(args.rank, args.node, args.partition, args.points, cap=args.cap)
     _emit_reports([r], args.format, out)
     return 0 if not r.failed else 1
 
 
 def _cmd_verify_suite(args, out):
+    _at_least_one(max_rank=args.max_rank, max_size=args.max_size, cap=args.cap)
     reports = verify_suite(
         max_rank=args.max_rank, max_size=args.max_size, seed=args.seed, cap=args.cap
     )

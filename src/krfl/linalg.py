@@ -1,14 +1,21 @@
 """Sparse exact linear algebra over the rationals.
 
-Vectors are dicts mapping coordinate index to a nonzero Fraction.  Matrices
-are stored column-wise: column index -> tuple of (row, coeff) pairs.  All
-elimination is exact; there is no floating point anywhere in this package.
+Vectors are dicts mapping coordinate index to a nonzero int or Fraction;
+values with denominator one are kept as plain ints.  Matrices are stored
+column-wise: column index -> tuple of (row, coeff) pairs.  All
+elimination is exact; there is no floating point anywhere in this
+package.
 
 Row reduction is block local.  Every vector handled by the module engine is
 homogeneous for some label (a weight, or a weight-degree pair), and vectors
 with different labels have disjoint support, so the echelon basis keeps an
 independent pivot table per label.  Pivoting is deterministic: the pivot of
 a row is its smallest coordinate index, and the first nonzero column wins.
+While a closure runs, each block also keeps a fully reduced copy of its
+rows, so deciding membership takes one pass; the copy is released when
+the closure ends.  Each label carries the dimension of its label space,
+and a block that reaches it is full: it accepts nothing more and needs
+no elimination.
 """
 
 from __future__ import annotations
@@ -17,7 +24,8 @@ import bisect
 import math
 from fractions import Fraction
 
-ZERO = Fraction(0)
+from .errors import InvariantError
+
 ONE = Fraction(1)
 
 
@@ -121,36 +129,84 @@ def mat_eq(a, b):
     return mat_is_zero(mat_sub(a, b))
 
 
+def _cancel(v, c, row, p, g, scale):
+    """Cancel the entry c of v at p, in place, against row, whose pivot p
+    has coefficient g; returns the new scale of v.
+
+    With d = gcd(c, g), v is scaled by g/d and (c/d) times row is
+    subtracted.  When g divides c, the common case, v is not rescaled,
+    so entries and the running scale stay small.
+    """
+    if g != 1:
+        d = math.gcd(c, g)
+        if d != g:
+            s = g // d
+            for i in v:
+                v[i] *= s
+            scale *= s
+        c //= d
+    for i, x in row.items():
+        if i == p:
+            continue
+        y = v.get(i, 0) - c * x
+        if y:
+            v[i] = y
+        else:
+            v.pop(i, None)
+    return scale
+
+
 class Echelon:
-    """Incremental reduced spanning set with block-local pivots.
+    """Incremental spanning set with block-local pivots.
 
     Rows are stored in insertion order as primitive integer vectors whose
     pivot (smallest index in the support) has a positive coefficient, kept
     in self.scales; the basis vector row j represents is rows[j]/scales[j].
     `label(index)` must be constant on the support of every inserted
-    vector; only rows with the same label are ever combined.
+    vector; only rows with the same label are ever combined.  capacity
+    maps every label to the dimension of its label space.
 
-    Elimination clears denominators once, then runs a single ascending
-    integer sweep over the block's pivot list: a pivot is the minimum of
-    its row's support, so cancelling at pivot p only introduces entries
-    above p and no pivot needs a second visit.  A running scale keeps the
-    sweep fraction free; exact values are restored on the way out.
+    Membership (insert, reduce) is decided against a fully reduced copy
+    of each block: every reduced row is zero at each other pivot of its
+    block, so one pass over the pivots in v's own support clears them
+    all, each by the gcd-scaled integer step of _cancel.  An accepted
+    row w with pivot p and coefficient g rewrites each reduced row with
+    entry a at p as (g/d)·row - (a/d)·w, d = gcd(a, g), divided by its
+    content.  A reduced row shares its dict with rows[j] until a rewrite
+    replaces it; no stored row is mutated.
 
-    Cancelling an entry c against a row with pivot coefficient g takes
-    d = gcd(c, g), scales the vector by g/d and subtracts (c/d) times
-    the row.  When g divides c, which is the common case, the vector is
-    not rescaled at all, so entries and the running scale stay small.
+    The residual of v is v minus a span element that is zero at every
+    pivot, so it is the same whichever basis of the block cleared it:
+    rows is what a triangular elimination would store.  coordinates
+    still runs that triangular sweep over rows, which needs no reduced
+    copy.
+
+    A block whose pivot count reaches its capacity spans its label
+    space: insert rejects and reduce clears every vector of it without
+    elimination, and its reduced rows are dropped.  release() drops the
+    rest once the closure is done; insert and reduce then raise
+    InvariantError, and coordinates keeps working.
     """
 
-    def __init__(self):
+    def __init__(self, capacity):
+        self.capacity = capacity  # label -> dimension of the label space
         self.rows = []        # primitive integer SparseVecs, insertion order
         self.scales = []      # positive pivot coefficient per row
         self.meta = []        # caller data per row, parallel to rows
         self.pivots = {}      # label -> {pivot index -> row number}
         self._order = {}      # label -> sorted list of pivot indices
+        self._reduced = {}    # label -> {pivot -> fully reduced row}; None once released
 
     def __len__(self):
         return len(self.rows)
+
+    def full(self, label):
+        """Whether the block spans the whole label space."""
+        return len(self.pivots.get(label, ())) == self.capacity[label]
+
+    def release(self):
+        """Drop the reduced copy; insert and reduce refuse from now on."""
+        self._reduced = None
 
     @staticmethod
     def _cleared(v):
@@ -164,11 +220,31 @@ class Echelon:
             return {i: x.numerator for i, x in v.items()}, 1
         return {i: x.numerator * (L // x.denominator) for i, x in v.items()}, L
 
-    def _sweep(self, v, label, scale, coeffs=None):
-        """In-place integer elimination; returns the final scale.
+    def _block(self, label):
+        """The reduced copy of the label's block, or None if it is full."""
+        if self._reduced is None:
+            raise InvariantError("echelon reduced copy already released")
+        if self.full(label):
+            return None
+        return self._reduced.setdefault(label, {})
 
-        The vector represented is v/scale throughout.  With coeffs a dict,
-        accumulates the exact basis coefficient of every row hit.
+    @staticmethod
+    def _eliminate(v, block, scale):
+        """One pass over the pivots in v's support, in place; returns the
+        final scale.  The vector represented is v/scale throughout."""
+        for p in [p for p in v if p in block]:
+            row = block[p]
+            scale = _cancel(v, v.pop(p), row, p, row[p], scale)
+        return scale
+
+    def _sweep(self, v, label, scale, coeffs):
+        """Triangular in-place elimination against rows; returns the final
+        scale and adds the exact basis coefficient of every row hit to
+        coeffs.
+
+        The vector represented is v/scale throughout.  A pivot is the
+        minimum of its row's support, so cancelling at pivot p only
+        introduces entries above p and one ascending pass suffices.
         """
         block = self.pivots.get(label)
         if not block or not v:
@@ -179,32 +255,17 @@ class Echelon:
             if c is None:
                 continue
             row_no = block[p]
-            if coeffs is not None:
-                coeffs[row_no] = coeffs.get(row_no, 0) + Fraction(c, scale)
-            row = self.rows[row_no]
-            g = self.scales[row_no]
-            if g != 1:
-                d = math.gcd(c, g)
-                if d != g:
-                    s = g // d
-                    for i in v:
-                        v[i] *= s
-                    scale *= s
-                c //= d
-            for i, x in row.items():
-                if i == p:
-                    continue
-                y = v.get(i, 0) - c * x
-                if y:
-                    v[i] = y
-                else:
-                    v.pop(i, None)
+            coeffs[row_no] = coeffs.get(row_no, 0) + Fraction(c, scale)
+            scale = _cancel(v, c, self.rows[row_no], p, self.scales[row_no], scale)
         return scale
 
     def reduce(self, v, label):
         """Eliminate every pivot position from v; returns the exact residual."""
+        block = self._block(label)
+        if block is None:
+            return {}
         w, scale = self._cleared(v)
-        scale = self._sweep(w, label, scale)
+        scale = self._eliminate(w, block, scale)
         if scale == 1:
             return w
         return {i: _canon(Fraction(x, scale)) for i, x in w.items()}
@@ -214,24 +275,39 @@ class Echelon:
 
         Returns the new row number, or None if v was already in the span.
         """
-        w, scale = self._cleared(v)
-        self._sweep(w, label, scale)
+        block = self._block(label)
+        if block is None:
+            return None
+        w, _ = self._cleared(v)
+        self._eliminate(w, block, 1)
         if not w:
             return None
-        g = 0
-        for x in w.values():
-            g = math.gcd(g, x)
+        content = math.gcd(*w.values())
         p = min(w)
         if w[p] < 0:
-            g = -g
-        if g != 1:
-            w = {i: x // g for i, x in w.items()}
+            content = -content
+        if content != 1:
+            w = {i: x // content for i, x in w.items()}
         idx = len(self.rows)
         self.rows.append(w)
         self.scales.append(w[p])
         self.meta.append(meta)
         self.pivots.setdefault(label, {})[p] = idx
         bisect.insort(self._order.setdefault(label, []), p)
+        if self.full(label):
+            del self._reduced[label]
+            return idx
+        g = w[p]
+        for q, row in block.items():
+            a = row.get(p)
+            if a is None:
+                continue
+            d = math.gcd(a, g)
+            new = dict(row) if g == d else {i: g // d * x for i, x in row.items()}
+            vec_iadd_scaled(new, w, -(a // d))
+            c = math.gcd(*new.values())
+            block[q] = new if c == 1 else {i: x // c for i, x in new.items()}
+        block[p] = w
         return idx
 
     def coordinates(self, v, label):

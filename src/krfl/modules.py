@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -130,13 +131,17 @@ def _insert_images(ech, j, gens, act, target):
 
     act(sym, i, k, row) applies a generator to a stored row and
     target(gen, meta) gives the echelon label and the meta of the image.
+    A generator whose target block is already full is not applied.
     """
     row, meta = ech.rows[j], ech.meta[j]
     out = []
     for gen in gens:
+        label, new_meta = target(gen, meta)
+        if ech.full(label):
+            continue
         img = act(*gen, row)
         if img:
-            new = ech.insert(img, *target(gen, meta))
+            new = ech.insert(img, label, new_meta)
             if new is not None:
                 out.append(new)
     return out
@@ -420,6 +425,14 @@ def _closure_label(m: GtModule, wt, deg):
     return (wt, deg) if m.graded else wt
 
 
+def _closure_echelon(m: GtModule) -> Echelon:
+    """An empty echelon for a closure inside m: the capacity of a label is
+    the number of basis vectors of m that carry it, and a label no basis
+    vector carries has capacity 0, so its block is full from the start."""
+    degrees = m.degrees if m.graded else itertools.repeat(0)
+    return Echelon(Counter(_closure_label(m, w, d) for w, d in zip(m.weights, degrees)))
+
+
 def _lift(ech, part):
     """Ambient vector for a dict of basis coefficients; rows carry a scale.
 
@@ -443,8 +456,10 @@ def _module_on_rows(m, ech, degrees, trunc, points, slot):
     the new module: cyclic_submodule keeps them all, fusion_filtration
     keeps its graded slot.  The action on one vector lifts it to m and
     goes through m.act; a matrix reads m.matrix once and applies it to
-    every row.
+    every row.  Both closures end here, so the reduced copy of ech is
+    released.
     """
+    ech.release()
 
     def coords(sym, i, k, img, wt, deg):
         if not img:
@@ -510,7 +525,7 @@ def cyclic_submodule(m: GtModule, vec) -> GtModule:
         raise ValueError("cannot close the zero vector")
     wt = m.weight_of(vec)
     deg = m.degree_of(vec) if m.graded else 0
-    ech = Echelon()
+    ech = _closure_echelon(m)
     ech.insert(vec, _closure_label(m, wt, deg), (wt, deg))
 
     def target(gen, meta):
@@ -560,7 +575,7 @@ def fusion_filtration(m: GtModule, vec) -> GtModule:
     if not vec:
         raise ValueError("cannot filter from the zero vector")
     wt0 = m.weight_of(vec)
-    ech = Echelon()
+    ech = _closure_echelon(m)
     ech.insert(vec, wt0, (wt0, 0))
     stage = 0  # target tags every accepted row with the current stage
 

@@ -1,11 +1,12 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from krfl.demazure import check_demazure_relations
-from krfl.linalg import mat_from_columns
+from krfl.linalg import Echelon, mat_from_columns
 from krfl.modules import (
     GradedCharacter,
     apply_word,
@@ -173,6 +174,29 @@ class TestCurrentTensor:
         assert check_demazure_relations(fus, {0: ONE}, 1, (2, 1)) == []
         assert amb._mats
         assert {sym for sym, _, _ in amb._mats} == {"f"}
+
+    def test_no_candidate_targets_a_full_weight_space(self, monkeypatch):
+        # once the closure spans a weight space of the ambient, no further
+        # image is generated into it
+        lams = [(1, 0), (1, 0), (0, 1)]
+        amb = tensor_modules(
+            [evaluation_module(simple_gmodule(2, lam), z) for z, lam in enumerate(lams)]
+        )
+        capacity = Counter(amb.weights)
+        insert = Echelon.insert
+        calls, into_full = [], []
+
+        def spy(self, v, label, meta=None):
+            calls.append(label)
+            if len(self.pivots.get(label, ())) >= capacity[label]:
+                into_full.append(label)
+            return insert(self, v, label, meta)
+
+        monkeypatch.setattr(Echelon, "insert", spy)
+        fus = fusion_filtration(amb, top_vec(amb))
+        assert fus.dim == amb.dim == 27
+        assert len(calls) > fus.dim
+        assert into_full == []
 
     def test_weights_add(self):
         a = evaluation_module(simple_gmodule(2, (1, 0)), 0)

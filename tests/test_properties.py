@@ -1,11 +1,14 @@
 """Property and edge-case tests for the echelon kernel and the closures."""
 
+import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from krfl import InvariantError
 from krfl.demazure import local_weyl
 from krfl.linalg import Echelon, mat_apply
 from krfl.modules import (
@@ -21,7 +24,8 @@ from krfl.modules import (
 
 ONE = Fraction(1)
 BLOCKS = 3  # label of index i is i % BLOCKS
-SIZE = 12
+SIZE = 10  # label spaces of dimension 4, 3 and 3, small enough to fill
+CAPACITY = Counter(i % BLOCKS for i in range(SIZE))
 
 coeff = st.one_of(
     st.integers(-6, 6),
@@ -55,21 +59,67 @@ def _rebuilt(ech, coeffs, residual):
     return out
 
 
+def _reference_rows(inserted):
+    """Rows and scales of a triangular Fraction elimination.
+
+    Each vector is reduced against the earlier rows of its label in
+    ascending pivot order; a nonzero residual is stored as a primitive
+    integer vector with a positive pivot coefficient.
+    """
+    rows, blocks = [], {}
+    for vec, label in inserted:
+        v = dict(vec)
+        block = blocks.setdefault(label, {})
+        for p in sorted(block):
+            if p in v:
+                c = v[p] / block[p][p]
+                for i, x in block[p].items():
+                    v[i] = v.get(i, 0) - c * x
+                    if not v[i]:
+                        del v[i]
+        if v:
+            denom = math.lcm(*(x.denominator for x in v.values()))
+            ints = {i: int(x * denom) for i, x in v.items()}
+            g = math.gcd(*ints.values()) * (1 if ints[min(ints)] > 0 else -1)
+            row = {i: x // g for i, x in ints.items()}
+            block[min(row)] = row
+            rows.append(row)
+    return rows, [row[min(row)] for row in rows]
+
+
 @settings(max_examples=40, deadline=None)
-@given(block_vectors(8), block_vectors(4))
+@given(block_vectors(10), block_vectors(4))
 def test_echelon_coordinates_reduce_and_insert_agree(inserted, probes):
-    ech = Echelon()
+    ech = Echelon(CAPACITY)
     for vec, label in inserted:
         residual = ech.reduce(vec, label)
         row = ech.insert(vec, label)
         assert (row is None) == (residual == {})
+        assert ech.full(label) == (len(ech.pivots.get(label, ())) == CAPACITY[label])
+    assert (ech.rows, ech.scales) == _reference_rows(inserted)
+    for label in CAPACITY:
+        if ech.full(label):
+            # a full block keeps no reduced rows and rejects every vector
+            assert label not in ech._reduced
+            for i in range(label, SIZE, BLOCKS):
+                assert ech.insert({i: Fraction(-3, 2)}, label) is None
+                assert ech.reduce({i: ONE}, label) == {}
+    residuals = []
     for vec, label in inserted + probes:
         coeffs, residual = ech.coordinates(vec, label)
         assert _rebuilt(ech, coeffs, residual) == vec
         assert residual == ech.reduce(vec, label)
         assert ech.reduce(residual, label) == residual
-        if (vec, label) in inserted:
+        if (vec, label) in inserted or ech.full(label):
             assert residual == {}
+        residuals.append(residual)
+    ech.release()
+    for (vec, label), residual in zip(inserted + probes, residuals):
+        assert ech.coordinates(vec, label)[1] == residual
+        with pytest.raises(InvariantError):
+            ech.insert(vec, label)
+        with pytest.raises(InvariantError):
+            ech.reduce(vec, label)
 
 
 @settings(max_examples=8, deadline=None)

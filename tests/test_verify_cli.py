@@ -234,6 +234,13 @@ class TestCli:
             ["demazure", "--rank", "2", "--ell", "1", "--lambda", "1",
              "--no-cache"],
             ["qfactor", "--rank", "1", "--file", "no-such-dir/pi.json"],
+            ["fusion", "--rank", "2", "--node", "1", "--partition", "2,0",
+             "--no-cache"],
+            ["verify-main", "--rank", "1", "--node", "1", "--partition", "1",
+             "--cap", "0"],
+            ["verify-suite", "--max-rank", "0"],
+            ["verify-suite", "--max-size", "0"],
+            ["verify-suite", "--cap", "-1"],
         ],
         ids=[
             "node-out-of-range",
@@ -242,6 +249,11 @@ class TestCli:
             "char-weight-length",
             "demazure-weight-length",
             "qfactor-unreadable-file",
+            "fusion-zero-part",
+            "verify-main-cap-zero",
+            "verify-suite-max-rank-zero",
+            "verify-suite-max-size-zero",
+            "verify-suite-cap-negative",
         ],
     )
     def test_bad_input_exits_two_with_one_line(self, argv, capsys):
