@@ -36,15 +36,18 @@ def content_of_weight(shape, mu):
     return content
 
 
-def count_ssyt(shape, content):
-    """Number of semistandard tableaux of the given shape and content.
+def ssyt(shape, content):
+    """Semistandard tableaux of the given shape and content, as row tuples.
 
     Entries are 1..len(content).  Brute-force row-by-row enumeration with
     column checks; fine at the sizes the tests use.
     """
     shape = tuple(r for r in shape if r > 0)
     if sum(shape) != sum(content):
-        return 0
+        return
+    if not shape:
+        yield ()
+        return
     nvals = len(content)
 
     def rows(length, above, avail):
@@ -65,18 +68,84 @@ def count_ssyt(shape, content):
 
         yield from rec(0, 1, avail)
 
-    count = 0
-
     def fill(i, above, avail):
-        nonlocal count
         if i == len(shape):
-            count += 1
+            yield ()
             return
         for row, left in rows(shape[i], above, avail):
-            fill(i + 1, row, left)
+            for rest in fill(i + 1, row, left):
+                yield (row,) + rest
 
-    fill(0, (0,) * shape[0], tuple(content))
-    return count
+    yield from fill(0, (0,) * shape[0], tuple(content))
+
+
+def count_ssyt(shape, content):
+    """Number of semistandard tableaux of the given shape and content."""
+    return sum(1 for _ in ssyt(shape, content))
+
+
+def charge(tableau):
+    """Lascoux-Schützenberger charge of a tableau of partition content.
+
+    The row reading word (bottom row first, each row left to right) is
+    split into standard subwords: starting at its right end, scan
+    leftwards, cyclically, for a 1, then a 2, and so on up to the
+    largest letter left.  In a standard subword letter r + 1 has the
+    index of r, plus one if the scan wrapped around to find it; the
+    charge is the sum of all indices.
+    """
+    word = [v for row in reversed(tableau) for v in row]
+    total = 0
+    while word:
+        pos, index, taken = len(word), 0, set()
+        for letter in range(1, max(word) + 1):
+            at = [p for p in range(pos) if word[p] == letter]
+            if not at:
+                index += 1
+                at = [p for p in range(len(word)) if word[p] == letter]
+            pos = at[-1]
+            total += index
+            taken.add(pos)
+        word = [v for p, v in enumerate(word) if p not in taken]
+    return total
+
+
+def _compositions(total, parts):
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def cocharge_graded_character(n, xi):
+    """Predicted graded character of the node-1 fusion of the V(xi_k omega_1).
+
+    For a partition xi of length l, V(lam) occurs in degree
+    n(xi) - charge(T) once for every semistandard tableau T of shape lam
+    and content xi, where n(xi) = sum (j-1) xi_j: the graded multiplicity
+    is q^{n(xi)} K_{lam,xi}(q^{-1}), a cocharge Kostka-Foulkes polynomial
+    (Feigin-Loktev).  Shapes have at most n+1 rows; the weight
+    multiplicities of V(lam) are SSYT counts.  Returns a dict
+    (weight, degree) -> multiplicity.
+    """
+    xi = tuple(sorted(xi, reverse=True))
+    size = sum(xi)
+    top = sum(j * x for j, x in enumerate(xi))
+    out = {}
+    for shape in _partitions_into_rows(size, n + 1, size):
+        degrees = [top - charge(t) for t in ssyt(shape, xi)]
+        if not degrees:
+            continue
+        for content in _compositions(size, n + 1):
+            mult = count_ssyt(shape, content)
+            if not mult:
+                continue
+            wt = tuple(content[i] - content[i + 1] for i in range(n))
+            for d in degrees:
+                out[(wt, d)] = out.get((wt, d), 0) + mult
+    return out
 
 
 def kostka_multiplicity(lam, mu):
