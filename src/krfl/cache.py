@@ -51,7 +51,7 @@ def load(desc):
         data = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError):
         return None
-    if data.get("descriptor") != desc:
+    if not isinstance(data, dict) or data.get("descriptor") != desc:
         return None
     try:
         return GradedCharacter.from_json(data["character"])

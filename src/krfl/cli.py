@@ -33,7 +33,7 @@ def _int_tuple(text):
 def _frac_tuple(text):
     try:
         return tuple(Fraction(x) for x in text.split(","))
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"expected comma-separated rationals: {text!r}")
 
 

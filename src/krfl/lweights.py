@@ -99,10 +99,18 @@ class LWeight:
 
     @staticmethod
     def from_json(rank: int, data) -> "LWeight":
+        """Read a JSON list of {"node", "exp", "mult"} integer objects;
+        ValueError on anything else."""
+        if not isinstance(data, list):
+            raise ValueError("expected a JSON list of {node, exp, mult} objects")
         table = {}
         for entry in data:
-            key = (int(entry["node"]), int(entry["exp"]))
-            table[key] = table.get(key, 0) + int(entry["mult"])
+            if not isinstance(entry, dict) or not {"node", "exp", "mult"} <= entry.keys():
+                raise ValueError(f"entry needs node, exp and mult: {entry!r}")
+            node, exp, mult = (entry[f] for f in ("node", "exp", "mult"))
+            if not all(type(x) is int for x in (node, exp, mult)):
+                raise ValueError(f"node, exp and mult must be integers: {entry!r}")
+            table[(node, exp)] = table.get((node, exp), 0) + mult
         return LWeight(rank, table)
 
 

@@ -24,6 +24,16 @@ Vectors are sparse dicts in the module's own coordinates.  Every basis
 element is weight homogeneous (and degree homogeneous in the graded
 case), so the echelon kernel can keep its pivot tables block local.
 
+Submodules come from one closure routine.  _closure puts the generating
+vector into an echelon and closes it, first under the Borel generators
+and then under the lowering generators alone (PBW).  Every row carries
+a tag: the generator's degree, plus k for each a ⊗ t^k applied on the
+way.  Candidates are processed in ascending tag order, so the rows of
+tag ≤ r span the r-th piece of the t-degree filtration; in a graded
+module the tag is the degree.  cyclic_submodule and fusion_filtration
+differ only in the checks they make afterwards and in how
+_module_on_rows reads the rows.
+
 Non-simple root vectors are fixed as left-normed brackets,
 x_{(a,b)} = [x_{(a,b-1)}, x_b] for the interval root alpha_a + ... +
 alpha_b; the relations tested through root vectors do not depend on
@@ -126,27 +136,6 @@ def _lowering_gens(rank, powers):
     return [("f", i, k) for i in range(1, rank + 1) for k in powers]
 
 
-def _insert_images(ech, j, gens, act, target):
-    """Insert the image of row j under each generator; returns the new rows.
-
-    act(sym, i, k, row) applies a generator to a stored row and
-    target(gen, meta) gives the echelon label and the meta of the image.
-    A generator whose target block is already full is not applied.
-    """
-    row, meta = ech.rows[j], ech.meta[j]
-    out = []
-    for gen in gens:
-        label, new_meta = target(gen, meta)
-        if ech.full(label):
-            continue
-        img = act(*gen, row)
-        if img:
-            new = ech.insert(img, label, new_meta)
-            if new is not None:
-                out.append(new)
-    return out
-
-
 def _row_pass(m):
     """The action for a pass over every row: each generator's matrix is
     read (and built, if need be) once and applied row by row."""
@@ -161,18 +150,48 @@ def _row_pass(m):
     return act
 
 
-def _close(ech, rows, gens, act, target):
-    """Close the span of ech under gens, starting from the given rows.
+def _close(m, ech, rows, gens, act):
+    """Close the span of ech under gens, starting from the given rows;
+    returns the accepted row numbers.
 
-    Every accepted row is closed in turn (depth first); returns the
-    accepted row numbers.
+    Row j's meta is (weight, tag), and the image of row j under
+    a ⊗ t^k is a candidate of tag tag_j + k.  Candidates wait in
+    buckets keyed by their tag.  The buckets are emptied in ascending
+    order, each depth first, and an accepted candidate becomes a row of
+    its bucket's tag whose own images join the buckets.  A generator
+    whose target block is already full is not applied.
     """
+    powers = {}
+    for sym, i, k in gens:
+        powers.setdefault(k, []).append((sym, i, k, _shift(m.rank, sym, i)))
+    buckets = {}
+
+    def queue(j):
+        tag = ech.meta[j][1]
+        for k, group in powers.items():
+            buckets.setdefault(tag + k, []).append((j, group))
+
+    for j in rows:
+        queue(j)
     accepted = []
-    todo = list(rows)
-    while todo:
-        new = _insert_images(ech, todo.pop(), gens, act, target)
-        accepted += new
-        todo += new
+    while buckets:
+        tag = min(buckets)
+        todo = buckets[tag]
+        while todo:
+            j, group = todo.pop()
+            row, wt = ech.rows[j], ech.meta[j][0]
+            for sym, i, k, shift in group:
+                wt2 = weight_add(wt, shift)
+                label = _closure_label(m, wt2, tag)
+                if ech.full(label):
+                    continue
+                img = act(sym, i, k, row)
+                if img:
+                    new = ech.insert(img, label, (wt2, tag))
+                    if new is not None:
+                        accepted.append(new)
+                        queue(new)
+        del buckets[tag]
     return accepted
 
 
@@ -449,12 +468,13 @@ def _lift(ech, part):
 def _module_on_rows(m, ech, degrees, trunc, points, slot):
     """The module whose basis vector j is row j of ech, acted on through m.
 
-    ech.meta[j] is the (weight, degree) of row j, with degree 0 for an
-    ungraded closure.  The image of a basis vector of degree d under
-    a ⊗ t^k is written in the rows of its block, which must span it,
-    and slot(coeffs, d + k) turns those coordinates into the column of
-    the new module: cyclic_submodule keeps them all, fusion_filtration
-    keeps its graded slot.  The action on one vector lifts it to m and
+    ech.meta[j] is the (weight, tag) of row j; the tag is the degree of
+    a graded closure and the filtration degree in fusion_filtration, and
+    an ungraded cyclic submodule ignores it.  The image of a basis
+    vector of tag d under a ⊗ t^k is written in the rows of its block,
+    which must span it, and slot(coeffs, d + k) turns those coordinates
+    into the column of the new module: cyclic_submodule keeps them all,
+    fusion_filtration keeps its graded slot.  The action on one vector lifts it to m and
     goes through m.act; a matrix reads m.matrix once and applies it to
     every row.  Both closures end here, so the reduced copy of ech is
     released.
@@ -504,22 +524,21 @@ def _module_on_rows(m, ech, degrees, trunc, points, slot):
     )
 
 
-def cyclic_submodule(m: GtModule, vec) -> GtModule:
-    """Smallest submodule containing vec, with vec's class as row 0.
+def _closure(m: GtModule, vec):
+    """The echelon of U(g[t])·vec inside m, and the rows of its Borel phase.
 
     vec must be weight homogeneous, and degree homogeneous if m is
-    graded.  By PBW, U(g[t]) = U(n⁻[t]) U(b[t]) (Chari–Loktev, Weyl,
-    Demazure and fusion modules for the current algebra of sl_{r+1},
-    2006, arXiv:math/0502165), so vec is closed first under the Borel
-    generators (_borel_gens) and the result then under the lowering
-    generators f_i ⊗ t^k alone, t-powers up to the truncation.  For a
-    highest-weight vec the first phase accepts no row; that is exactly
+    graded; it becomes row 0, tagged with its degree (0 if m is
+    ungraded).  By PBW, U(g[t]) = U(n⁻[t]) U(b[t]) (Chari–Loktev,
+    Weyl, Demazure and fusion modules for the current algebra of
+    sl_{r+1}, 2006, arXiv:math/0502165), so vec is closed first under
+    the Borel generators (_borel_gens), one vector at a time through
+    m.act, and the result then under the lowering generators f_i ⊗ t^k
+    alone, t-powers up to the truncation, row by row.  For a
+    highest-weight vec the Borel phase accepts no row; that is exactly
     the premise under which U(n⁻[t])·vec already is U(g[t])·vec.  For
-    any other vec the first phase yields U(b[t])·vec, so every weight
-    vector is a valid input.  For evaluation-type inputs the
-    sufficiency of the truncation is checked by re-applying two extra
-    powers afterwards; the action-stability check on every matrix built
-    later catches a closure that is not stable under e.
+    any other vec it yields U(b[t])·vec, so every weight vector is a
+    valid input.
     """
     if not vec:
         raise ValueError("cannot close the zero vector")
@@ -527,16 +546,23 @@ def cyclic_submodule(m: GtModule, vec) -> GtModule:
     deg = m.degree_of(vec) if m.graded else 0
     ech = _closure_echelon(m)
     ech.insert(vec, _closure_label(m, wt, deg), (wt, deg))
-
-    def target(gen, meta):
-        sym, i, k = gen
-        wt2 = weight_add(meta[0], _shift(m.rank, sym, i))
-        deg2 = meta[1] + k if m.graded else 0
-        return _closure_label(m, wt2, deg2), (wt2, deg2)
-
-    _close(ech, [0], _borel_gens(m.rank, m.trunc), m.act, target)
+    borel = _close(m, ech, [0], _borel_gens(m.rank, m.trunc), m.act)
     lowering = _lowering_gens(m.rank, range(m.trunc + 1))
-    _close(ech, range(len(ech)), lowering, _row_pass(m), target)
+    _close(m, ech, range(len(ech)), lowering, _row_pass(m))
+    return ech, borel
+
+
+def cyclic_submodule(m: GtModule, vec) -> GtModule:
+    """Smallest submodule containing vec, with vec's class as row 0.
+
+    The closure is _closure's.  In a graded m a row's tag is its degree
+    and the echelon keeps degrees apart; an ungraded closure ignores
+    tags.  For evaluation-type inputs the sufficiency of the truncation
+    is checked by re-applying two extra powers afterwards; the
+    action-stability check on every matrix built later catches a
+    closure that is not stable under e.
+    """
+    ech, _ = _closure(m, vec)
     if m.points is not None and not m.graded:
         _assert_truncation_sufficient(m, ech)
     degrees = [meta[1] for meta in ech.meta] if m.graded else None
@@ -559,53 +585,19 @@ def fusion_filtration(m: GtModule, vec) -> GtModule:
 
     F^r = U(g[t])_{≤r}·vec is spanned by products of total t-degree at
     most r applied to vec (Feigin–Loktev 1999).  vec must be a
-    highest-weight vector: it spans its own U(b[t])-submodule.  Then by
-    PBW, F^r = U(n⁻[t])_{≤r}·vec (Chari–Loktev, Weyl, Demazure and
-    fusion modules for the current algebra of sl_{r+1}, 2006,
-    arXiv:math/0502165), so only lowering generators are applied.  That
-    premise is checked exactly first: the Borel phase of
-    cyclic_submodule must accept no row, or ValueError is raised.
-    Stage s then inserts f_i ⊗ t^k applied to the stage s-k rows and
-    closes under f_i ⊗ t^0; the adapted rows form a basis in which row
-    j represents its class in F^{d_j}/F^{d_j - 1}.  Raises ValueError
-    if vec does not generate m.
+    highest-weight vector, so the Borel phase of _closure accepts no
+    row (ValueError otherwise), and by PBW F^r = U(n⁻[t])_{≤r}·vec.  The
+    lowering phase empties its buckets in ascending tag order: while
+    bucket r is processed every stored row has tag ≤ r, and a row
+    accepted there gets tag r.  So the rows of tag ≤ r span F^r, and
+    row j represents its class in F^{d_j}/F^{d_j - 1}, d_j its tag.
+    Raises ValueError if vec does not generate m.
     """
     if m.graded:
         raise ValueError("input is already graded")
-    if not vec:
-        raise ValueError("cannot filter from the zero vector")
-    wt0 = m.weight_of(vec)
-    ech = _closure_echelon(m)
-    ech.insert(vec, wt0, (wt0, 0))
-    stage = 0  # target tags every accepted row with the current stage
-
-    def target(gen, meta):
-        wt2 = weight_add(meta[0], _shift(m.rank, gen[0], gen[1]))
-        return wt2, (wt2, stage)
-
-    if _close(ech, [0], _borel_gens(m.rank, m.trunc), m.act, target):
+    ech, borel = _closure(m, vec)
+    if borel:
         raise ValueError("generator is not a highest-weight vector")
-    degree_zero = _lowering_gens(m.rank, (0,))
-    lower = _row_pass(m)
-    _close(ech, [0], degree_zero, lower, target)
-    by_degree = {0: list(range(len(ech)))}
-    stalled = 0
-    stall_limit = max(m.trunc, 1)
-    while len(ech) < m.dim and stalled < stall_limit:
-        stage += 1
-        before = len(ech)
-        fresh = []
-        for k in range(1, m.trunc + 1):
-            gens = _lowering_gens(m.rank, (k,))
-            for j in by_degree.get(stage - k, ()):
-                fresh += _insert_images(ech, j, gens, lower, target)
-        _close(ech, fresh, degree_zero, lower, target)
-        added = list(range(before, len(ech)))
-        if added:
-            by_degree[stage] = added
-            stalled = 0
-        else:
-            stalled += 1
     if len(ech) < m.dim:
         raise ValueError("vector is not cyclic")
 

@@ -263,6 +263,34 @@ class TestCli:
         [line] = captured.err.splitlines()
         assert line.startswith("krfl: error: ")
 
+    @pytest.mark.parametrize("points", ["abc", "1/0"], ids=["not-a-number", "zero-denominator"])
+    def test_bad_points_exit_two_through_argparse(self, points, capsys):
+        argv = ["fusion", "--rank", "1", "--node", "1", "--partition", "1",
+                "--points", points, "--no-cache"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert "expected comma-separated rationals" in err[-1]
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '[{"node": 1}]',
+            '{"a": 1}',
+            '[{"node": 1, "exp": 0, "mult": 1.5}]',
+        ],
+        ids=["missing-keys", "not-a-list", "fractional-mult"],
+    )
+    def test_malformed_qfactor_exits_two_with_one_line(self, text, tmp_path, capsys):
+        src = tmp_path / "pi.json"
+        src.write_text(text)
+        assert main(["qfactor", "--rank", "1", "--file", str(src)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("krfl: error: ")
+
     def test_engine_fault_is_not_bad_input(self, monkeypatch):
         def broken(*args, **kwargs):
             raise InvariantError("closure is not action stable")
@@ -378,3 +406,14 @@ class TestCache:
         path = next((tmp_path / "cache").glob("*.json"))
         path.write_text("{ not json")
         assert load(desc) is None
+
+    def test_non_object_entry_is_a_miss(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("KRFL_CACHE_DIR", str(tmp_path / "cache"))
+        argv = ["fusion", "--rank", "1", "--node", "1", "--partition", "1,1"]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        (entry,) = (tmp_path / "cache").glob("*.json")
+        entry.write_text("[]")
+        assert main(argv) == 0
+        assert capsys.readouterr().out == first
+        assert isinstance(json.loads(entry.read_text()), dict)
