@@ -555,12 +555,12 @@ def _closure(m: GtModule, vec):
 def cyclic_submodule(m: GtModule, vec) -> GtModule:
     """Smallest submodule containing vec, with vec's class as row 0.
 
-    The closure is _closure's.  In a graded m a row's tag is its degree
-    and the echelon keeps degrees apart; an ungraded closure ignores
-    tags.  For evaluation-type inputs the sufficiency of the truncation
-    is checked by re-applying two extra powers afterwards; the
-    action-stability check on every matrix built later catches a
-    closure that is not stable under e.
+    Built by _closure.  In a graded m a row's tag is its degree and the
+    echelon keeps degrees apart; an ungraded closure ignores tags.  For
+    evaluation-type inputs the sufficiency of the truncation is checked
+    by re-applying two extra powers afterwards; the action-stability
+    check on every matrix built later catches a closure that is not
+    stable under e.
     """
     ech, _ = _closure(m, vec)
     if m.points is not None and not m.graded:

@@ -1,9 +1,10 @@
 """Independent combinatorial oracles used only by the tests.
 
 These deliberately avoid the production code paths: weight multiplicities
-are counted as semistandard tableaux (Kostka numbers), tensor product
-multiplicities via the Littlewood-Richardson rule on skew tableaux, and
-conjugate partitions by direct column counting.
+are counted as semistandard tableaux (Kostka numbers), graded fusion
+multiplicities at node 1 via charge on those tableaux (Kostka-Foulkes
+polynomials), tensor product multiplicities via the Littlewood-Richardson
+rule on skew tableaux, and conjugate partitions by direct column counting.
 """
 
 from __future__ import annotations
@@ -110,22 +111,13 @@ def charge(tableau):
     return total
 
 
-def _compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def cocharge_graded_character(n, xi):
     """Predicted graded character of the node-1 fusion of the V(xi_k omega_1).
 
-    For a partition xi of length l, V(lam) occurs in degree
-    n(xi) - charge(T) once for every semistandard tableau T of shape lam
-    and content xi, where n(xi) = sum (j-1) xi_j: the graded multiplicity
-    is q^{n(xi)} K_{lam,xi}(q^{-1}), a cocharge Kostka-Foulkes polynomial
+    For a partition xi, V(lam) occurs in degree n(xi) - charge(T) once
+    for every semistandard tableau T of shape lam and content xi, where
+    n(xi) = sum (j-1) xi_j: the graded multiplicity is
+    q^{n(xi)} K_{lam,xi}(q^{-1}), a cocharge Kostka-Foulkes polynomial
     (Feigin-Loktev).  Shapes have at most n+1 rows; the weight
     multiplicities of V(lam) are SSYT counts.  Returns a dict
     (weight, degree) -> multiplicity.
@@ -138,7 +130,7 @@ def cocharge_graded_character(n, xi):
         degrees = [top - charge(t) for t in ssyt(shape, xi)]
         if not degrees:
             continue
-        for content in _compositions(size, n + 1):
+        for content in itertools.product(range(size + 1), repeat=n + 1):
             mult = count_ssyt(shape, content)
             if not mult:
                 continue
