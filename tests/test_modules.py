@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from krfl.demazure import check_demazure_relations
-from krfl.linalg import Echelon, mat_from_columns
+from krfl.linalg import Echelon, mat_from_columns, mat_scale
 from krfl.modules import (
     GradedCharacter,
     apply_word,
@@ -381,6 +381,128 @@ class TestApplyWord:
         assert m.weight_of(w) == (1, -1)
 
 
+def _evaluation_tensor(n, lam, points):
+    g = simple_gmodule(n, lam)
+    return tensor_modules([evaluation_module(g, z) for z in points])
+
+
+def _wrong(*pairs):
+    return [f"[{a}, {b}] wrong" for a, b in pairs]
+
+
+# case -> (module, key of the corrupted matrix, replacement, check_axioms report)
+AXIOM_CORRUPTIONS = {
+    "h diagonal": (
+        lambda: fundamental_gmodule(2, 1),
+        lambda m: ("h", 1, 0),
+        lambda a: mat_scale(a, 2),
+        ["h_1 is not the weight diagonal"]
+        + _wrong(
+            ("e_1 t^0", "f_1 t^0"),
+            ("h_1 t^0", "e_1 t^0"),
+            ("h_1 t^0", "f_1 t^0"),
+            ("h_1 t^0", "e_2 t^0"),
+            ("h_1 t^0", "f_2 t^0"),
+        ),
+    ),
+    "weight homogeneity": (
+        lambda: fundamental_gmodule(2, 1),
+        lambda m: ("e", 1, 0),
+        lambda a: mat_from_columns({0: {1: 1}}),
+        ["e_1 t^0 breaks weight homogeneity"]
+        + _wrong(
+            ("e_1 t^0", "f_1 t^0"),
+            ("h_1 t^0", "e_1 t^0"),
+            ("e_1 t^0", "f_2 t^0"),
+            ("h_2 t^0", "e_1 t^0"),
+        ),
+    ),
+    "degree homogeneity": (
+        lambda: fusion_product(1, 1, (1, 1)),
+        lambda m: ("f", 1, 0),
+        lambda a: mat_from_columns({0: {3: 1}}),
+        ["f_1 t^0 breaks degree homogeneity"]
+        + _wrong(
+            ("e_1 t^0", "f_1 t^0"), ("e_1 t^1", "f_1 t^0"), ("h_1 t^1", "f_1 t^0")
+        ),
+    ),
+    "e-f bracket": (
+        lambda: fundamental_gmodule(2, 1),
+        lambda m: ("e", 1, 0),
+        lambda a: mat_scale(a, 2),
+        _wrong(("e_1 t^0", "f_1 t^0")),
+    ),
+    "h-e and h-f at t^1": (
+        lambda: _evaluation_tensor(1, (1,), (0, 1)),
+        lambda m: ("h", 1, 1),
+        lambda a: mat_from_columns({0: {0: 7}}),
+        _wrong(
+            ("e_1 t^0", "f_1 t^1"),
+            ("e_1 t^1", "f_1 t^0"),
+            ("h_1 t^1", "e_1 t^0"),
+            ("h_1 t^1", "f_1 t^0"),
+        ),
+    ),
+    "h-h": (
+        lambda: _evaluation_tensor(2, (1, 0), (0, 1, 2)),
+        lambda m: ("h", 1, 1),
+        lambda a: mat_from_columns({1: {3: 1}}),
+        _wrong(
+            ("e_1 t^0", "f_1 t^1"),
+            ("e_1 t^1", "f_1 t^0"),
+            ("h_1 t^1", "e_1 t^0"),
+            ("h_1 t^1", "f_1 t^0"),
+            ("h_1 t^1", "e_1 t^1"),
+            ("h_1 t^1", "f_1 t^1"),
+            ("h_1 t^1", "e_2 t^0"),
+            ("h_1 t^1", "f_2 t^0"),
+            ("h_1 t^1", "e_2 t^1"),
+            ("h_1 t^1", "f_2 t^1"),
+            ("h_1 t^1", "h_2 t^1"),
+            ("h_2 t^1", "h_1 t^1"),
+        ),
+    ),
+    "f-f adjacent roots": (
+        lambda: _evaluation_tensor(2, (1, 0), (0, 1)),
+        lambda m: ("f", 2, 1),
+        lambda a: mat_scale(a, Fraction(1, 2)),
+        _wrong(
+            ("f_1 t^0", "f_2 t^1"),
+            ("h_1 t^1", "f_2 t^0"),
+            ("f_2 t^1", "f_1 t^0"),
+            ("e_2 t^0", "f_2 t^1"),
+            ("h_2 t^1", "f_2 t^0"),
+        )
+        + ["power 2 of f_2 breaks point dependence"],
+    ),
+    "e-e adjacent roots": (
+        lambda: _evaluation_tensor(2, (1, 0), (0, 1)),
+        lambda m: ("e", 1, 1),
+        lambda a: mat_scale(a, Fraction(1, 2)),
+        _wrong(
+            ("e_1 t^1", "f_1 t^0"),
+            ("h_1 t^1", "e_1 t^0"),
+            ("e_1 t^0", "e_2 t^1"),
+            ("h_2 t^1", "e_1 t^0"),
+            ("e_2 t^1", "e_1 t^0"),
+        )
+        + ["power 2 of e_1 breaks point dependence"],
+    ),
+    "above the top degree": (
+        lambda: fusion_product(1, 1, (1, 1)),
+        lambda m: ("e", 1, m.top_degree() + 1),
+        lambda a: mat_from_columns({0: {1: 1}}),
+        ["action above the top degree"],
+    ),
+    "point dependence": (
+        lambda: _evaluation_tensor(1, (1,), (0, 1)),
+        lambda m: ("e", 1, 2),
+        lambda a: mat_scale(a, 2),
+        ["power 2 of e_1 breaks point dependence"],
+    ),
+}
+
+
 class TestAxiomChecker:
     def test_detects_corrupted_table(self):
         m = fundamental_gmodule(2, 1)
@@ -396,6 +518,16 @@ class TestAxiomChecker:
         t.matrix("h", 1, 1)
         t._mats[("h", 1, 1)] = mat_from_columns({0: {0: Fraction(7)}})
         assert check_axioms(t) != []
+
+    @pytest.mark.parametrize("case", sorted(AXIOM_CORRUPTIONS))
+    def test_corruption_report_is_pinned(self, case):
+        """One stored matrix corrupted per identity family; the exact
+        report list, message for message and in order."""
+        build, key, replace, want = AXIOM_CORRUPTIONS[case]
+        m = build()
+        key = key(m)
+        m._mats[key] = replace(m.matrix(*key))
+        assert check_axioms(m) == want
 
     def test_graded_top_degree_is_clean(self):
         m = fusion_product(1, 1, (1, 1))
