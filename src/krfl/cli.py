@@ -190,7 +190,7 @@ def _cmd_qfactor(args, out):
             raise ValueError(f"cannot read {args.file}: {exc.strerror}") from exc
     pi = LWeight.from_json(args.rank, json.loads(text))
     factors = q_factorize(pi)
-    data = [{"node": f.node, "center": f.center, "len": f.length} for f in factors]
+    data = [f.to_json() for f in factors]
     if args.format == "json":
         json.dump(data, out, indent=2)
         out.write("\n")

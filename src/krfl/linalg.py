@@ -6,6 +6,12 @@ column-wise: column index -> tuple of (row, coeff) pairs.  All
 elimination is exact; there is no floating point anywhere in this
 package.
 
+A matrix is in normal form when every column is sorted by row, has no
+zero entry and is not empty; mat_from_columns produces it, and
+mat_scale and mat_bracket preserve it.  Two matrices in normal form are
+equal exactly when they compare equal with ==, so no matrix difference
+is ever formed to test an identity.
+
 Row reduction is block local.  Every vector handled by the module engine is
 homogeneous for some label (a weight, or a weight-degree pair), and vectors
 with different labels have disjoint support, so the echelon basis keeps an
@@ -26,16 +32,14 @@ from fractions import Fraction
 
 from .errors import InvariantError
 
-ONE = Fraction(1)
-
 
 def _canon(x):
     """Collapse denominator-one values to plain ints; they add and multiply
     an order of magnitude faster than Fraction and mix with it exactly."""
     return x.numerator if x.denominator == 1 else x
 
-SparseVec = dict  # index -> Fraction, all values nonzero
-SparseMat = dict  # col index -> tuple[(row index, Fraction), ...]
+SparseVec = dict  # index -> int or Fraction, all values nonzero
+SparseMat = dict  # col index -> tuple[(row index, int or Fraction), ...]
 
 
 def vec_iadd_scaled(v, w, c):
@@ -77,16 +81,6 @@ def mat_from_columns(cols):
     return out
 
 
-def mat_compose(a, b):
-    """Matrix product a∘b (apply b first)."""
-    cols = {}
-    for i, col in b.items():
-        v = mat_apply(a, dict(col))
-        if v:
-            cols[i] = v
-    return mat_from_columns(cols)
-
-
 def mat_scale(a, c):
     if c == 0:
         return {}
@@ -94,39 +88,14 @@ def mat_scale(a, c):
     return {i: tuple((j, c * x) for j, x in col) for i, col in a.items()}
 
 
-def mat_sub(a, b):
-    cols = {}
-    for i in set(a) | set(b):
-        v = dict(a.get(i, ()))
-        vec_iadd_scaled(v, dict(b.get(i, ())), -ONE)
-        if v:
-            cols[i] = v
-    return mat_from_columns(cols)
-
-
 def mat_bracket(a, b):
-    """Commutator a∘b - b∘a."""
-    return mat_sub(mat_compose(a, b), mat_compose(b, a))
-
-
-def mat_add_scaled(mats_and_coeffs):
-    """Linear combination of matrices given as (mat, coeff) pairs."""
+    """Commutator a∘b - b∘a, built column by column, in normal form."""
     cols = {}
-    for mat, c in mats_and_coeffs:
-        if c == 0:
-            continue
-        for i, col in mat.items():
-            v = cols.setdefault(i, {})
-            vec_iadd_scaled(v, dict(col), c)
+    for c in a.keys() | b.keys():
+        v = mat_apply(a, dict(b.get(c, ())))
+        vec_iadd_scaled(v, mat_apply(b, dict(a.get(c, ()))), -1)
+        cols[c] = v
     return mat_from_columns(cols)
-
-
-def mat_is_zero(a):
-    return all(not col for col in a.values())
-
-
-def mat_eq(a, b):
-    return mat_is_zero(mat_sub(a, b))
 
 
 def _cancel(v, c, row, p, g, scale):

@@ -52,10 +52,8 @@ from .errors import InvariantError
 from .linalg import (
     Echelon,
     _canon,
-    mat_add_scaled,
     mat_apply,
     mat_bracket,
-    mat_eq,
     mat_from_columns,
     mat_scale,
     vec_iadd_scaled,
@@ -690,11 +688,28 @@ class GradedCharacter:
 
     @staticmethod
     def from_json(data) -> "GradedCharacter":
+        """Inverse of to_json.  Raises ValueError on any field to_json
+        cannot have written (bools are not ints), so a malformed cache
+        entry is a miss."""
+        rank = data["rank"]
+        if type(rank) is not int or rank < 1:
+            raise ValueError(f"bad rank {rank!r}")
         mults = {}
         for e in data["entries"]:
-            key = (tuple(e["weight"]), int(e["degree"]))
-            mults[key] = mults.get(key, 0) + int(e["mult"])
-        return GradedCharacter(int(data["rank"]), mults)
+            w, d, k = e["weight"], e["degree"], e["mult"]
+            if (
+                type(w) is not list
+                or len(w) != rank
+                or set(map(type, w)) != {int}
+                or type(d) is not int
+                or d < 0
+                or type(k) is not int
+                or k < 1
+            ):
+                raise ValueError(f"bad character entry {e!r}")
+            key = (tuple(w), d)
+            mults[key] = mults.get(key, 0) + k
+        return GradedCharacter(rank, mults)
 
 
 def graded_character(m: GtModule) -> GradedCharacter:
@@ -766,91 +781,72 @@ def check_axioms(m: GtModule) -> list:
     h_i ⊗ t^0 is the weight diagonal; weight and degree homogeneity of
     every stored generator; loop brackets [a t^r, b t^s] = [a, b] t^{r+s}
     for r + s within the truncation across all generator pairs whose
-    bracket is again expressible (e-f, h-e, h-f, h-h, and e-e / f-f
-    through interval root vectors, built column by column with
-    _root_apply); vanishing above the top degree for graded modules;
-    and the dependence of the p-th power on lower powers forced by the
-    points of an evaluation tensor.  A g-module (trunc 0) is checked at
-    t^0 alone.
+    bracket is again expressible (e-f, h-e, h-f, h-h, and e-e / f-f,
+    whose bracket for adjacent nodes is the adjacent root vector, itself
+    checked as the bracket [x_a t^{r+s}, x_{a+1} t^0]); vanishing above
+    the top degree for graded modules; and the dependence of the p-th
+    power on lower powers forced by the points of an evaluation tensor.
+    A g-module (trunc 0) is checked at t^0 alone.  Every matrix is in
+    the normal form of mat_from_columns, so each identity is one ==.
     """
     report = []
     n = m.rank
     cart = cartan_matrix(n)
     kmax = m.trunc
-    roots = {}
-
-    def adjacent_root(sym, a, k):
-        """Generator for alpha_a + alpha_{a+1} at t^k, cached per call."""
-        key = (sym, a, k)
-        if key not in roots:
-            cols = {c: _root_apply(m, sym, (a, a + 1), k, {c: 1}) for c in range(m.dim)}
-            roots[key] = mat_from_columns(cols)
-        return roots[key]
-
+    mat = m.matrix
     for i in range(1, n + 1):
         diag = mat_from_columns({j: {j: w[i - 1]} for j, w in enumerate(m.weights)})
-        if not mat_eq(m.matrix("h", i, 0), diag):
+        if mat("h", i, 0) != diag:
             report.append(f"h_{i} is not the weight diagonal")
     for sym in "efh":
         for i in range(1, n + 1):
             for k in range(kmax + 1):
                 _check_homogeneous(
-                    n, m.weights, m.degrees, sym, i, k, m.matrix(sym, i, k), report
+                    n, m.weights, m.degrees, sym, i, k, mat(sym, i, k), report
                 )
     for i in range(1, n + 1):
         for j in range(1, n + 1):
+            a = cart[i - 1][j - 1]
             for r in range(kmax + 1):
                 for s in range(kmax + 1 - r):
-                    b = mat_bracket(m.matrix("e", i, r), m.matrix("f", j, s))
-                    want = m.matrix("h", i, r + s) if i == j else {}
-                    if not mat_eq(b, want):
+                    want = mat("h", i, r + s) if i == j else {}
+                    if mat_bracket(mat("e", i, r), mat("f", j, s)) != want:
                         report.append(f"[e_{i} t^{r}, f_{j} t^{s}] wrong")
-                    a = Fraction(cart[i - 1][j - 1])
-                    if not mat_eq(
-                        mat_bracket(m.matrix("h", i, r), m.matrix("e", j, s)),
-                        mat_scale(m.matrix("e", j, r + s), a),
-                    ):
+                    want = mat_scale(mat("e", j, r + s), a)
+                    if mat_bracket(mat("h", i, r), mat("e", j, s)) != want:
                         report.append(f"[h_{i} t^{r}, e_{j} t^{s}] wrong")
-                    if not mat_eq(
-                        mat_bracket(m.matrix("h", i, r), m.matrix("f", j, s)),
-                        mat_scale(m.matrix("f", j, r + s), -a),
-                    ):
+                    want = mat_scale(mat("f", j, r + s), -a)
+                    if mat_bracket(mat("h", i, r), mat("f", j, s)) != want:
                         report.append(f"[h_{i} t^{r}, f_{j} t^{s}] wrong")
-                    if not mat_eq(
-                        mat_bracket(m.matrix("h", i, r), m.matrix("h", j, s)), {}
-                    ):
+                    if mat_bracket(mat("h", i, r), mat("h", j, s)):
                         report.append(f"[h_{i} t^{r}, h_{j} t^{s}] wrong")
                     for sym in "ef":
-                        b = mat_bracket(m.matrix(sym, i, r), m.matrix(sym, j, s))
                         if j == i + 1:
-                            want = adjacent_root(sym, i, r + s)
+                            want = mat_bracket(mat(sym, i, r + s), mat(sym, j, 0))
                         elif i == j + 1:
-                            want = mat_scale(adjacent_root(sym, j, r + s), -ONE)
+                            want = mat_bracket(mat(sym, i, 0), mat(sym, j, r + s))
                         else:
                             want = {}
-                        if not mat_eq(b, want):
-                            report.append(
-                                f"[{sym}_{i} t^{r}, {sym}_{j} t^{s}] wrong"
-                            )
+                        if mat_bracket(mat(sym, i, r), mat(sym, j, s)) != want:
+                            report.append(f"[{sym}_{i} t^{r}, {sym}_{j} t^{s}] wrong")
     if m.graded:
         top = m.top_degree()
         for i in range(1, n + 1):
-            if m.matrix("e", i, top + 1) or m.matrix("f", i, top + 1):
+            if mat("e", i, top + 1) or mat("f", i, top + 1):
                 report.append("action above the top degree")
     elif m.points is not None:
         p = len(m.points)
-        poly = [ONE]
+        poly = [1]
         for z in m.points:
-            poly = [
-                a - z * b
-                for a, b in zip(poly + [Fraction(0)], [Fraction(0)] + poly)
-            ]
-        # poly holds the coefficients of prod (x - z_f), leading term first
+            poly = [a - z * b for a, b in zip(poly + [0], [0] + poly)]
+        # poly holds the coefficients of prod (x - z_f), leading term first,
+        # so sum_d poly[d] x^{p-d} vanishes at every point
         for i in range(1, n + 1):
             for sym in "ef":
-                combo = mat_add_scaled(
-                    [(m.matrix(sym, i, p - d), -poly[d]) for d in range(1, p + 1)]
-                )
-                if not mat_eq(m.matrix(sym, i, p), combo):
+                cols = {}
+                for d in range(p + 1):
+                    for c, col in mat(sym, i, p - d).items():
+                        vec_iadd_scaled(cols.setdefault(c, {}), dict(col), poly[d])
+                if any(cols.values()):
                     report.append(f"power {p} of {sym}_{i} breaks point dependence")
     return report

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from krfl import InvariantError
-from krfl.demazure import local_weyl
-from krfl.linalg import Echelon, mat_apply
+from krfl.demazure import gen_demazure, local_weyl, rect_demazure
+from krfl.linalg import Echelon, mat_apply, mat_bracket, mat_from_columns
 from krfl.modules import (
     cyclic_submodule,
     evaluation_module,
@@ -195,3 +195,73 @@ def test_vector_action_of_tensor_equals_matrix_action(data):
     img = amb.act(sym, i, k, vec)
     assert not amb._mats
     assert img == mat_apply(amb.matrix(sym, i, k), vec)
+
+
+MAT_SIZE = 5
+
+
+@st.composite
+def sparse_mats(draw):
+    """Small sparse matrices in normal form, with int and Fraction entries."""
+    cells = draw(st.dictionaries(st.tuples(*[st.integers(0, MAT_SIZE - 1)] * 2), coeff))
+    cols = {}
+    for (r, c), x in cells.items():
+        cols.setdefault(c, {})[r] = x
+    return mat_from_columns(cols)
+
+
+def _dense(mat):
+    out = [[Fraction(0)] * MAT_SIZE for _ in range(MAT_SIZE)]
+    for c, col in mat.items():
+        for r, x in col:
+            out[r][c] = Fraction(x)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_mats(), sparse_mats())
+def test_mat_bracket_is_the_dense_commutator_in_normal_form(a, b):
+    da, db = _dense(a), _dense(b)
+    want = {}
+    for c in range(MAT_SIZE):
+        col = []
+        for r in range(MAT_SIZE):
+            x = Fraction(0)
+            for k in range(MAT_SIZE):
+                x += da[r][k] * db[k][c] - db[r][k] * da[k][c]
+            if x:
+                col.append((r, x))
+        if col:
+            want[c] = tuple(col)
+    got = mat_bracket(a, b)
+    assert got == want
+    assert got == mat_from_columns({c: dict(col) for c, col in got.items()})
+
+
+ROUTES = {
+    **TENSORS,
+    "fundamental_gmodule": lambda: fundamental_gmodule(3, 2),
+    "simple_gmodule": lambda: simple_gmodule(2, (1, 1)),
+    "evaluation_module": lambda: evaluation_module(simple_gmodule(2, (1, 0)), 3),
+    "cyclic_submodule": lambda: cyclic_submodule(
+        _evaluation_tensor([(1, 0), (1, 0)], (0, 1)), {0: ONE}
+    ),
+    "fusion_product": lambda: fusion_product(2, 1, (1, 1)),
+    "local_weyl": lambda: local_weyl(2, (1, 1)),
+    "rect_demazure": lambda: rect_demazure(2, 2, (2, 0)),
+    "gen_demazure": lambda: gen_demazure(2, 1, (2, 1)),
+}
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_every_action_matrix_is_in_normal_form(route):
+    """check_axioms compares matrices with ==, which is exact only for
+    the normal form of mat_from_columns: sorted columns, no zero entry
+    and no empty column."""
+    m = ROUTES[route]()
+    top = m.trunc + (1 if m.graded or m.points is not None else 0)
+    for sym in "efh":
+        for i in range(1, m.rank + 1):
+            for k in range(top + 1):
+                mat = m.matrix(sym, i, k)
+                assert mat == mat_from_columns({c: dict(col) for c, col in mat.items()})

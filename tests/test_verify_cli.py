@@ -417,3 +417,38 @@ class TestCache:
         assert main(argv) == 0
         assert capsys.readouterr().out == first
         assert isinstance(json.loads(entry.read_text()), dict)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("rank", "2"),
+            ("rank", 2.0),
+            ("rank", True),
+            ("weight", [1.7, 0]),
+            ("weight", [1]),
+            ("weight", [True, 0]),
+            ("weight", "10"),
+            ("degree", 0.5),
+            ("degree", -1),
+            ("degree", True),
+            ("mult", 1.5),
+            ("mult", 0),
+            ("mult", True),
+        ],
+    )
+    def test_malformed_character_is_a_miss(self, tmp_path, monkeypatch, field, value):
+        from krfl.cache import cached_character, store
+        from krfl.modules import GradedCharacter
+
+        monkeypatch.setenv("KRFL_CACHE_DIR", str(tmp_path / "cache"))
+        desc = {"kind": "fusion", "rank": 2, "xi": [1, 1]}
+        store(desc, GradedCharacter(2, {((1, 0), 0): 1, ((0, 1), 1): 2}))
+        (path,) = (tmp_path / "cache").glob("*.json")
+        data = json.loads(path.read_text())
+        character = data["character"]
+        (character if field == "rank" else character["entries"][0])[field] = value
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError):
+            GradedCharacter.from_json(character)
+        fresh = GradedCharacter(2, {((2, 0), 0): 3})
+        assert cached_character(desc, lambda: fresh) == fresh
