@@ -7,8 +7,8 @@ elimination is exact; there is no floating point anywhere in this
 package.
 
 A matrix is in normal form when every column is sorted by row, has no
-zero entry and is not empty; mat_from_columns produces it, and
-mat_scale and mat_bracket preserve it.  Two matrices in normal form are
+zero entry and is not empty; mat_from_columns and mat_bracket return
+it, and mat_scale keeps it.  Two matrices in normal form are
 equal exactly when they compare equal with ==, so no matrix difference
 is ever formed to test an identity.
 
