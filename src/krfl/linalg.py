@@ -84,8 +84,7 @@ def mat_from_columns(cols):
 def mat_scale(a, c):
     if c == 0:
         return {}
-    c = _canon(c)
-    return {i: tuple((j, c * x) for j, x in col) for i, col in a.items()}
+    return {i: tuple((j, _canon(c * x)) for j, x in col) for i, col in a.items()}
 
 
 def mat_bracket(a, b):

@@ -30,9 +30,14 @@ and then under the lowering generators alone (PBW).  Every row carries
 a tag: the generator's degree, plus k for each a ⊗ t^k applied on the
 way.  Candidates are processed in ascending tag order, so the rows of
 tag ≤ r span the r-th piece of the t-degree filtration; in a graded
-module the tag is the degree.  cyclic_submodule and fusion_filtration
-differ only in the checks they make afterwards and in how
-_module_on_rows reads the rows.
+module the tag is the degree.  Inside a tag they go from high weights
+to low.  Each stage, F^r/F^{r-1} or one degree of a graded module, is
+a g-module, so its weight multiplicities are W-invariant: once a stage
+holds as many rows at a non-dominant weight as at the dominant weight
+of its orbit, whose count is final by then, the lowering phase offers
+that weight no further candidate of the stage (see _close).
+cyclic_submodule and fusion_filtration differ only in the checks they
+make afterwards and in how _module_on_rows reads the rows.
 
 Non-simple root vectors are fixed as left-normed brackets,
 x_{(a,b)} = [x_{(a,b-1)}, x_b] for the interval root alpha_a + ... +
@@ -42,6 +47,7 @@ the resulting sign convention.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from collections import Counter
@@ -61,6 +67,7 @@ from .linalg import (
 from .typea import (
     Character,
     cartan_matrix,
+    dominant_rep,
     fundamental_weight,
     is_dominant,
     simple_root,
@@ -153,43 +160,77 @@ def _close(m, ech, rows, gens, act):
     returns the accepted row numbers.
 
     Row j's meta is (weight, tag), and the image of row j under
-    a ⊗ t^k is a candidate of tag tag_j + k.  Candidates wait in
-    buckets keyed by their tag.  The buckets are emptied in ascending
-    order, each depth first, and an accepted candidate becomes a row of
-    its bucket's tag whose own images join the buckets.  A generator
-    whose target block is already full is not applied.
+    a ⊗ t^k is a candidate of tag tag_j + k.  Candidates are taken in
+    ascending order of (tag, -h(source weight)), with
+    h(mu) = 2<mu, rho^vee> = sum_i i(n+1-i) mu_i, and an accepted
+    candidate becomes a row of its tag whose own images join the queue.
+    Tags still come in ascending order, so the rows of tag ≤ r span the
+    r-th filtration piece as before; only the order inside a tag is
+    fixed.  A generator whose target block is already full is not
+    applied.
+
+    Stage skip.  When every generator lowers and every stored row is
+    final for its tag (a graded ambient, whose labels keep degrees
+    apart, or a closure started from its generator alone), the rows of
+    tag r and weight mu number dim S_mu for a g-module S: the degree-r
+    piece of a graded cyclic module, or F^r/F^{r-1} (Chari–Loktev
+    2006).  So c(mu, r) = c(w mu, r) at the end for every Weyl group
+    element w.  A candidate of tag r comes from a row of tag ≤ r, and
+    lowering by alpha_i lowers h by exactly 2, so the order above
+    takes the sources of a bucket in non-increasing h.  Once a
+    candidate aimed at mu comes up, every row of tag r at a weight
+    lambda with h(lambda) > h(mu) is therefore final: its sources have
+    h(lambda) + 2 > h(mu) + 2.  If mu is not dominant, dominant_rep(mu)
+    - mu is a nonzero sum of positive roots, so dominant_rep(mu) is such
+    a lambda, and the candidate is skipped once
+    c(mu, r) ≥ c(dominant_rep(mu), r): the stage's mu-part is complete,
+    its image lies in the span, and insert would have rejected it.  An
+    ungraded closure whose Borel phase accepted rows keeps them in the
+    same blocks at every tag, so its counts are not stage dimensions
+    and nothing is skipped.
     """
-    powers = {}
+    groups = {}
     for sym, i, k in gens:
-        powers.setdefault(k, []).append((sym, i, k, _shift(m.rank, sym, i)))
-    buckets = {}
+        groups.setdefault(k, []).append((sym, i, _shift(m.rank, sym, i)))
+    stage = all(sym == "f" for sym, _, _ in gens) and (m.graded or len(ech) == 1)
+    count = Counter(ech.meta)  # (weight, tag) -> rows stored
+    coeffs = [i * (m.rank + 1 - i) for i in range(1, m.rank + 1)]
+    targets = {}  # (source weight, t-power) -> [(sym, i, weight, dominant rep)]
+    heap = []
 
     def queue(j):
-        tag = ech.meta[j][1]
-        for k, group in powers.items():
-            buckets.setdefault(tag + k, []).append((j, group))
+        wt, tag = ech.meta[j]
+        h = sum(c * x for c, x in zip(coeffs, wt))
+        for k in groups:
+            heapq.heappush(heap, (tag + k, -h, j, k))
 
     for j in rows:
         queue(j)
     accepted = []
-    while buckets:
-        tag = min(buckets)
-        todo = buckets[tag]
-        while todo:
-            j, group = todo.pop()
-            row, wt = ech.rows[j], ech.meta[j][0]
-            for sym, i, k, shift in group:
+    while heap:
+        tag, _, j, k = heapq.heappop(heap)
+        row, wt = ech.rows[j], ech.meta[j][0]
+        aims = targets.get((wt, k))
+        if aims is None:
+            aims = targets[(wt, k)] = []
+            for sym, i, shift in groups[k]:
                 wt2 = weight_add(wt, shift)
-                label = _closure_label(m, wt2, tag)
-                if ech.full(label):
-                    continue
-                img = act(sym, i, k, row)
-                if img:
-                    new = ech.insert(img, label, (wt2, tag))
-                    if new is not None:
-                        accepted.append(new)
-                        queue(new)
-        del buckets[tag]
+                dom = None if is_dominant(wt2) else dominant_rep(wt2)
+                aims.append((sym, i, wt2, dom))
+        for sym, i, wt2, dom in aims:
+            label = _closure_label(m, wt2, tag)
+            if ech.full(label):
+                continue
+            meta = (wt2, tag)
+            if stage and dom is not None and count[meta] >= count[(dom, tag)]:
+                continue
+            img = act(sym, i, k, row)
+            if img:
+                new = ech.insert(img, label, meta)
+                if new is not None:
+                    accepted.append(new)
+                    count[meta] += 1
+                    queue(new)
     return accepted
 
 
