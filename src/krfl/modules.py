@@ -161,30 +161,26 @@ def _close(m, ech, rows, gens, act):
 
     Row j's meta is (weight, tag), and the image of row j under
     a ⊗ t^k is a candidate of tag tag_j + k.  Candidates are taken in
-    ascending order of (tag, -h(source weight)), with
-    h(mu) = 2<mu, rho^vee> = sum_i i(n+1-i) mu_i, and an accepted
-    candidate becomes a row of its tag whose own images join the queue.
-    Tags still come in ascending order, so the rows of tag ≤ r span the
-    r-th filtration piece as before; only the order inside a tag is
-    fixed.  A generator whose target block is already full is not
-    applied.
+    ascending order of (tag, -h(source weight)), h(mu) = 2<mu, rho^vee>
+    = sum_i i(n+1-i) mu_i, and an accepted candidate becomes a row of
+    its tag whose images join the queue.  Tags come in ascending order,
+    so the rows of tag ≤ r span the r-th filtration piece.  A generator
+    whose target block is already full is not applied.
 
     Stage skip.  When every generator lowers and every stored row is
     final for its tag (a graded ambient, whose labels keep degrees
     apart, or a closure started from its generator alone), the rows of
-    tag r and weight mu number dim S_mu for a g-module S: the degree-r
-    piece of a graded cyclic module, or F^r/F^{r-1} (Chari–Loktev
-    2006).  So c(mu, r) = c(w mu, r) at the end for every Weyl group
-    element w.  A candidate of tag r comes from a row of tag ≤ r, and
-    lowering by alpha_i lowers h by exactly 2, so the order above
-    takes the sources of a bucket in non-increasing h.  Once a
-    candidate aimed at mu comes up, every row of tag r at a weight
-    lambda with h(lambda) > h(mu) is therefore final: its sources have
-    h(lambda) + 2 > h(mu) + 2.  If mu is not dominant, dominant_rep(mu)
-    - mu is a nonzero sum of positive roots, so dominant_rep(mu) is such
-    a lambda, and the candidate is skipped once
-    c(mu, r) ≥ c(dominant_rep(mu), r): the stage's mu-part is complete,
-    its image lies in the span, and insert would have rejected it.  An
+    tag r at weight mu count the mu-part of a g-module, one degree of a
+    graded cyclic module or F^r/F^{r-1} (Chari–Loktev 2006), so
+    c(mu, r) ends equal to c(w mu, r) for every w in W.  Lowering by
+    alpha_i lowers h by exactly 2, and a candidate of tag r comes from
+    a row of tag ≤ r, so the tag-r candidates come in non-increasing
+    source h: when one aimed at mu comes up, every row of tag r at a
+    weight of higher h than mu is final.  For non-dominant mu,
+    dominant_rep(mu) - mu is a nonzero sum of positive roots, so
+    dominant_rep(mu) is such a weight, and once
+    c(mu, r) ≥ c(dominant_rep(mu), r) the stage's mu-part is complete:
+    the image lies in the span, and the candidate is skipped.  An
     ungraded closure whose Borel phase accepted rows keeps them in the
     same blocks at every tag, so its counts are not stage dimensions
     and nothing is skipped.
@@ -626,8 +622,8 @@ def fusion_filtration(m: GtModule, vec) -> GtModule:
     most r applied to vec (Feigin–Loktev 1999).  vec must be a
     highest-weight vector, so the Borel phase of _closure accepts no
     row (ValueError otherwise), and by PBW F^r = U(n⁻[t])_{≤r}·vec.  The
-    lowering phase empties its buckets in ascending tag order: while
-    bucket r is processed every stored row has tag ≤ r, and a row
+    lowering phase takes candidates in ascending tag order: while those
+    of tag r are processed every stored row has tag ≤ r, and a row
     accepted there gets tag r.  So the rows of tag ≤ r span F^r, and
     row j represents its class in F^{d_j}/F^{d_j - 1}, d_j its tag.
     Raises ValueError if vec does not generate m.

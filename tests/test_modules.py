@@ -5,7 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from krfl.demazure import check_demazure_relations
+import krfl.modules
+from krfl.demazure import (
+    check_demazure_relations,
+    gen_demazure,
+    local_weyl,
+    rect_demazure,
+)
 from krfl.linalg import Echelon, mat_from_columns, mat_scale
 from krfl.modules import (
     GradedCharacter,
@@ -24,8 +30,11 @@ from krfl.modules import (
     tensor_modules,
 )
 from krfl.typea import (
+    Character,
     char_simple,
+    dominant_rep,
     fundamental_weight,
+    is_dominant,
     weight_scale,
     weyl_dim,
 )
@@ -137,6 +146,12 @@ class TestEvaluation:
         m = evaluation_module(simple_gmodule(2, (1, 0)), Fraction(-3, 2))
         assert check_axioms(m) == []
 
+    def test_fractional_point_keeps_integral_entries_int(self):
+        m = evaluation_module(simple_gmodule(1, (2,)), Fraction(1, 2))
+        mat = m.matrix("f", 1, 1)
+        assert mat == {0: ((1, Fraction(1, 2)),), 1: ((2, 1),)}
+        assert type(mat[1][0][1]) is int
+
 
 class TestCurrentTensor:
     def test_mixing_rejected(self):
@@ -197,6 +212,36 @@ class TestCurrentTensor:
         assert fus.dim == amb.dim == 27
         assert len(calls) > fus.dim
         assert into_full == []
+
+    def test_no_candidate_targets_a_complete_stage_weight(self, monkeypatch):
+        # each stage of a fusion filtration or a graded closure is a
+        # g-module, so once a non-dominant weight holds as many rows of a
+        # tag as its dominant representative, no further image of that tag
+        # is offered to it
+        insert = Echelon.insert
+        counts, calls, redundant = {}, [], []
+
+        def spy(self, v, label, meta=None):
+            count = counts.setdefault(self, Counter())
+            wt, tag = meta
+            calls.append(meta)
+            if not is_dominant(wt) and count[meta] >= count[(dominant_rep(wt), tag)]:
+                redundant.append(meta)
+            new = insert(self, v, label, meta)
+            if new is not None:
+                count[meta] += 1
+            return new
+
+        amb = _eval_tensor([(1, 0), (1, 0), (0, 1)])
+        base = local_weyl(2, (1, 1))
+        graded = tensor_modules([base, base])
+        monkeypatch.setattr(Echelon, "insert", spy)
+        fus = fusion_filtration(amb, top_vec(amb))
+        sub = cyclic_submodule(graded, top_vec(graded))
+        assert fus.dim == 27
+        assert graded_character(sub) == graded_character(rect_demazure(2, 2, (2, 2)))
+        assert len(calls) > fus.dim + sub.dim
+        assert redundant == []
 
     def test_weights_add(self):
         a = evaluation_module(simple_gmodule(2, (1, 0)), 0)
@@ -326,6 +371,139 @@ class TestFusion:
 
     def test_default_points(self):
         assert default_points(4) == (0, 1, 2, 3)
+
+
+def reference_closure(m, vec):
+    """Rows per (weight, tag) of U(g[t])·vec inside m, with nothing skipped.
+
+    Every Borel generator and then every lowering generator (t-powers up
+    to m.trunc) is applied to every row, candidates of each tag in the
+    order they were made and tags in ascending order, and each image is
+    reduced by plain triangular Fraction elimination against the rows of
+    its label: (weight, tag) in a graded m, the weight otherwise.  Only
+    m's matrices are shared with the engine.
+    """
+    nodes = range(1, m.rank + 1)
+    powers = range(m.trunc + 1)
+    borel = [("e", i, k) for i in nodes for k in powers]
+    borel += [("h", i, k) for i in nodes for k in powers if k]
+    lowering = [("f", i, k) for i in nodes for k in powers]
+    blocks = {}  # label -> {pivot: row with pivot coefficient 1}
+    rows = []  # (vector, weight, tag)
+
+    def insert(v, tag):
+        wt = m.weights[min(v)]
+        block = blocks.setdefault((wt, tag) if m.graded else wt, {})
+        v = {j: Fraction(x) for j, x in v.items()}
+        for p in sorted(block):
+            c = v.get(p)
+            if c:
+                for j, x in block[p].items():
+                    y = v.get(j, 0) - c * x
+                    if y:
+                        v[j] = y
+                    else:
+                        v.pop(j, None)
+        if not v:
+            return False
+        p = min(v)
+        block[p] = {j: x / v[p] for j, x in v.items()}
+        rows.append((v, wt, tag))
+        return True
+
+    def close(gens, start):
+        pending = {}
+
+        def queue(j):
+            for sym, i, k in gens:
+                pending.setdefault(rows[j][2] + k, []).append((j, sym, i, k))
+
+        for j in start:
+            queue(j)
+        while pending:
+            tag = min(pending)
+            todo = pending[tag]
+            for j, sym, i, k in todo:  # k = 0 images join todo as it runs
+                mat = m.matrix(sym, i, k)
+                img = {}
+                for col, x in rows[j][0].items():
+                    for r, c in mat.get(col, ()):
+                        img[r] = img.get(r, 0) + x * c
+                img = {r: y for r, y in img.items() if y}
+                if img and insert(img, tag):
+                    queue(len(rows) - 1)
+            del pending[tag]
+
+    insert(vec, m.degree_of(vec) if m.graded else 0)
+    close(borel, [0])
+    close(lowering, range(len(rows)))
+    return Counter((wt, tag) for _, wt, tag in rows)
+
+
+def _eval_tensor(lams):
+    """Evaluation modules V(lams[z]) at the points z = 0, 1, ..., tensored."""
+    return tensor_modules(
+        [
+            evaluation_module(simple_gmodule(len(lam), lam), z)
+            for z, lam in enumerate(lams)
+        ]
+    )
+
+
+def _close_every_basis_vector(m):
+    # most basis vectors are no highest-weight vectors, so the Borel phase
+    # of their closure accepts rows; returns the last closure
+    return [cyclic_submodule(m, {j: ONE}) for j in range(m.dim)][-1]
+
+
+# every route that builds a module by a closure; the points are fresh so
+# the lru caches of local_weyl and rect_demazure do not skip the closure
+CLOSURE_ROUTES = {
+    "fusion_product": lambda: fusion_product(2, 1, (2, 1), points=(3, 5)),
+    "fusion_product_rank3": lambda: fusion_product(3, 2, (1, 1), points=(3, 5)),
+    "local_weyl": lambda: local_weyl(2, (1, 1), points=(3, 5)),
+    "rect_demazure_level2": lambda: rect_demazure(2, 2, (2, 2), points=(3, 5)),
+    "gen_demazure": lambda: gen_demazure(2, 1, (2, 1)),
+    "simple_gmodule": lambda: simple_gmodule.__wrapped__(2, (2, 1)),
+    "graded_non_highest": lambda: _close_every_basis_vector(
+        local_weyl(2, (1, 1))
+    ),
+    "eval_tensor_non_highest": lambda: _close_every_basis_vector(
+        _eval_tensor([(1, 1), (1, 0)])
+    ),
+}
+
+
+class TestReferenceClosure:
+    """Each closure a route runs against reference_closure on its ambient:
+    the stage skip and the order inside a tag change which candidates are
+    tried, never the rows per (weight, tag) or the character."""
+
+    @pytest.mark.parametrize("route", sorted(CLOSURE_ROUTES))
+    def test_rows_per_weight_and_tag_match_reference(self, route, monkeypatch):
+        closure = krfl.modules._closure
+        seen = []
+
+        def spy(m, vec):
+            ech, borel = closure(m, vec)
+            seen.append((m, vec, Counter(ech.meta), borel))
+            return ech, borel
+
+        monkeypatch.setattr(krfl.modules, "_closure", spy)
+        out = CLOSURE_ROUTES[route]()
+        assert seen
+        for m, vec, got, _ in seen:
+            assert got == reference_closure(m, vec)
+        want = seen[-1][2]
+        if out.graded:
+            assert graded_character(out).mults == want
+        else:
+            collapsed = Counter()
+            for (wt, _), c in want.items():
+                collapsed[wt] += c
+            assert out.character() == Character(collapsed)
+        if route.endswith("non_highest"):
+            assert any(borel for *_, borel in seen)
 
 
 class TestGradedCharacter:
