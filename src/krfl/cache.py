@@ -62,16 +62,15 @@ def load(desc):
 def store(desc, gc: GradedCharacter):
     desc = _stamped(desc)
     d = cache_dir()
-    d.mkdir(parents=True, exist_ok=True)
     path = _entry_path(desc)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    tmp.write_text(
-        json.dumps(
-            {"descriptor": desc, "character": gc.to_json()}, sort_keys=True
-        ),
-        encoding="utf-8",
-    )
-    tmp.replace(path)
+    entry = {"descriptor": desc, "character": gc.to_json()}
+    try:
+        d.mkdir(parents=True, exist_ok=True)
+        tmp.write_text(json.dumps(entry, sort_keys=True), encoding="utf-8")
+        tmp.replace(path)
+    except OSError as exc:
+        raise ValueError(f"cannot write the cache in {d}: {exc.strerror}") from exc
 
 
 def cached_character(desc, compute, enabled=True) -> GradedCharacter:

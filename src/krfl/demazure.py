@@ -18,6 +18,17 @@ claimed generator and report every violation.  The checkers establish
 the necessary direction only; completeness of a presentation is always
 certified elsewhere by a dimension or character match against an
 independently built module.
+
+Both checkers open with one highest-weight prologue: a generator of
+the wrong weight, or a graded one outside degree 0, gets that one
+message and no further check; otherwise e_i ⊗ t^k (k <= trunc) and
+h_i ⊗ t^k (0 < k <= trunc) must kill it and h_i must act by the weight,
+at the simple nodes i only, since e_(a,b) ⊗ t^k is [e_(a,b-1) ⊗ t^k, e_b]
+(modules._root_apply).  The mixed words (e_a ⊗ t)^s (f_a)^{r+s} and the
+witness search share one walk per root a through node i: f_a is applied
+once per power q = r + s and a chain of e_a ⊗ t restarts from each
+power, so pairs come in ascending (r + s, s) order; a zero image ends
+its chain, and a zero power the walk of its root.
 """
 
 from __future__ import annotations
@@ -36,6 +47,7 @@ from .modules import (
 from .typea import (
     Partition,
     fundamental_weight,
+    integral_weight,
     is_dominant,
     positive_roots,
     weight_scale,
@@ -52,7 +64,7 @@ def local_weyl(n: int, lam, points=None) -> GtModule:
     Built as the fusion of one fundamental evaluation module per unit
     of each coordinate of lam, at pairwise distinct points.
     """
-    lam = tuple(int(c) for c in lam)
+    lam = integral_weight(lam)
     if len(lam) != n or not is_dominant(lam):
         raise ValueError("weight must be dominant of matching rank")
     if points is not None:
@@ -81,7 +93,7 @@ def rect_demazure(n: int, ell: int, lam, points=None) -> GtModule:
     """
     if ell < 1:
         raise ValueError("level must be positive")
-    lam = tuple(int(c) for c in lam)
+    lam = integral_weight(lam)
     if any(c % ell for c in lam):
         raise ValueError("weight must be divisible by the level")
     if points is not None:
@@ -99,24 +111,19 @@ def _rect_demazure(n, ell, lam, points):
     return cyclic_submodule(amb, {amb.cyclic_index: ONE})
 
 
-def gen_demazure(n: int, i: int, xi, descending=False) -> GtModule:
+def gen_demazure(n: int, i: int, xi) -> GtModule:
     """Closure of the joint generator in a tensor of rectangular modules.
 
     The run-length blocks of xi, ascending in part size, give one
     factor each: a block of b parts of size m contributes the level-b
-    module with highest weight b*m*omega_i.  descending=True reverses
-    the tensor order; the result is only guaranteed to match at the
-    level of graded characters.
+    module with highest weight b*m*omega_i.
     """
     xi = xi if isinstance(xi, Partition) else Partition(xi)
     if not xi.parts:
         raise ValueError("partition must be nonempty")
     omega = fundamental_weight(n, i)
-    blocks = list(xi.rle())
-    if descending:
-        blocks.reverse()
     factors = [
-        rect_demazure(n, b, weight_scale(b * m, omega)) for m, b in blocks
+        rect_demazure(n, b, weight_scale(b * m, omega)) for m, b in xi.rle()
     ]
     if len(factors) == 1:
         return factors[0]
@@ -132,46 +139,74 @@ def level_exponents(ell: int, pairing: int):
     return s, pairing - (s - 1) * ell
 
 
+def _highest_weight_report(m: GtModule, vec, lam):
+    """(report, placed) of the prologue; placed is False on a wrong weight or degree."""
+    if m.weight_of(vec) != lam:
+        return ["generator does not have the claimed weight"], False
+    if m.graded and m.degree_of(vec) != 0:
+        return ["generator is not in degree zero"], False
+    report = []
+    for i in range(1, m.rank + 1):
+        for sym, name, first in (("e", "raising", 0), ("h", "torus", 1)):
+            for k in range(first, m.trunc + 1):
+                if apply_word(m, vec, [(sym, i, k, 1)]):
+                    report.append(f"{name} node {i} t^{k} does not kill the generator")
+        want = {j: lam[i - 1] * c for j, c in vec.items()} if lam[i - 1] else {}
+        if apply_word(m, vec, [("h", i, 0, 1)]) != want:
+            report.append(f"torus eigenvalue at node {i} is wrong")
+    return report, True
+
+
+def _lowering_report(m: GtModule, vec, root, powers) -> list:
+    """One message per t-power at which f_root does not kill vec."""
+    return [
+        f"lowering root ({root[0]},{root[1]}) t^{k} does not kill the generator"
+        for k in powers
+        if apply_word(m, vec, [("f", root, k, 1)])
+    ]
+
+
+def _mixed_words(m: GtModule, vec, i: int, qmax: int, smax: int):
+    """The walk over the roots through node i: (root, q - s, s, image) for each
+    nonzero (e_root ⊗ t)^s f_root^q vec, 1 <= s < q <= qmax, s <= smax."""
+    for root in positive_roots(m.rank):
+        if not root[0] <= i <= root[1]:
+            continue
+        low = vec
+        for q in range(1, qmax + 1):
+            low = apply_word(m, low, [("f", root, 0, 1)])
+            if not low:
+                break
+            w = low
+            for s in range(1, min(q - 1, smax) + 1):
+                w = apply_word(m, w, [("e", root, 1, 1)])
+                if not w:
+                    break
+                yield root, q - s, s, w
+
+
 def check_demazure_relations(m: GtModule, vec, ell: int, lam) -> list:
     """Apply the defining relations of the level-ell module with highest
     weight lam to vec; returns one message per violated relation.
 
-    Per positive root a, with lam(h_a) = (s-1)*ell + mm, 0 < mm <= ell:
-    the lowering generator at t-power s kills vec, and the (mm+1)-st
-    power of the one at t-power s-1 kills vec.  Roots with lam(h_a) = 0
-    sit outside that parametrization; for them only the t-positive part
-    of the lowering family is required to vanish.
+    After the prologue (module docstring), per positive root a, with
+    lam(h_a) = (s-1)*ell + mm, 0 < mm <= ell: the lowering generator at
+    t-power s kills vec, and the (mm+1)-st power of the one at t-power
+    s-1 kills vec.  Roots with lam(h_a) = 0 sit outside that
+    parametrization; for them only the t-positive part of the lowering
+    family is required to vanish.
     """
-    report = []
-    lam = tuple(int(c) for c in lam)
-    if m.weight_of(vec) != lam:
-        return ["generator does not have the claimed weight"]
-    if m.graded and m.degree_of(vec) != 0:
-        return ["generator is not in degree zero"]
-    kmax = m.trunc
-    for i in range(1, m.rank + 1):
-        for k in range(kmax + 1):
-            if apply_word(m, vec, [("e", i, k, 1)]):
-                report.append(f"raising node {i} t^{k} does not kill the generator")
-        for k in range(1, kmax + 1):
-            if apply_word(m, vec, [("h", i, k, 1)]):
-                report.append(f"torus node {i} t^{k} does not kill the generator")
-        got = apply_word(m, vec, [("h", i, 0, 1)])
-        want = {j: lam[i - 1] * c for j, c in vec.items()} if lam[i - 1] else {}
-        if got != want:
-            report.append(f"torus eigenvalue at node {i} is wrong")
+    lam = integral_weight(lam)
+    report, placed = _highest_weight_report(m, vec, lam)
+    if not placed:
+        return report
     for a, b in positive_roots(m.rank):
         pairing = sum(lam[a - 1 : b])
         if pairing == 0:
-            for k in range(1, kmax + 1):
-                if apply_word(m, vec, [("f", (a, b), k, 1)]):
-                    report.append(
-                        f"lowering root ({a},{b}) t^{k} does not kill the generator"
-                    )
+            report += _lowering_report(m, vec, (a, b), range(1, m.trunc + 1))
             continue
         s, mm = level_exponents(ell, pairing)
-        if apply_word(m, vec, [("f", (a, b), s, 1)]):
-            report.append(f"lowering root ({a},{b}) t^{s} does not kill the generator")
+        report += _lowering_report(m, vec, (a, b), [s])
         if apply_word(m, vec, [("f", (a, b), s - 1, mm + 1)]):
             report.append(
                 f"power {mm + 1} of lowering root ({a},{b}) t^{s - 1} is nonzero"
@@ -179,21 +214,13 @@ def check_demazure_relations(m: GtModule, vec, ell: int, lam) -> list:
     return report
 
 
-def _tail_sums(parts):
-    """tail[j] = parts[j] + parts[j+1] + ... for the 0-indexed list."""
-    tail = [0] * (len(parts) + 1)
-    for j in range(len(parts) - 1, -1, -1):
-        tail[j] = tail[j + 1] + parts[j]
-    return tail
-
-
 def gradrel_required(r: int, s: int, parts) -> bool:
     """Whether the pair (r, s) belongs to the defining family for the
     descending part list: some window index k in 1..len(parts) has
     r + s >= 1 + k*r + (parts[k] + parts[k+1] + ...)."""
-    tail = _tail_sums(tuple(parts))
+    parts = tuple(parts)
     return any(
-        r + s >= 1 + k * r + tail[k] for k in range(1, len(parts) + 1)
+        r + s >= 1 + k * r + sum(parts[k:]) for k in range(1, len(parts) + 1)
     )
 
 
@@ -201,70 +228,38 @@ def check_gradrel_relations(m: GtModule, vec, i: int, xi) -> list:
     """Apply the graded defining relations of the fusion of one-node
     simples with part sizes xi to vec; returns violations.
 
-    Families: every raising root generator at every stored t-power
-    kills vec; lowering roots not containing node i are killed at every
-    t-power; lowering roots containing i vanish at power |xi| + 1; and
-    for each such root the mixed words (raise at t)^s (lower)^{r+s}
-    vanish exactly on the pairs selected by gradrel_required.
+    After the prologue for the weight |xi| omega_i: lowering roots not
+    containing node i are killed at every stored t-power; lowering
+    roots containing i vanish at power |xi| + 1; and for each such root
+    the mixed words (raise at t)^s (lower)^{r+s}, r, s <= |xi| + 1,
+    vanish on the pairs gradrel_required selects, in walk order.
     """
-    xi = xi if isinstance(xi, Partition) else Partition(xi)
-    parts = xi.parts
-    report = []
-    total = sum(parts)
-    kmax = m.trunc
+    parts = Partition(xi).parts
+    bound = sum(parts) + 1
+    lam = weight_scale(sum(parts), fundamental_weight(m.rank, i))
+    report, placed = _highest_weight_report(m, vec, lam)
+    if not placed:
+        return report
     for a, b in positive_roots(m.rank):
-        for k in range(kmax + 1):
-            if apply_word(m, vec, [("e", (a, b), k, 1)]):
-                report.append(
-                    f"raising root ({a},{b}) t^{k} does not kill the generator"
-                )
-        if a <= i <= b:
-            if apply_word(m, vec, [("f", (a, b), 0, total + 1)]):
-                report.append(
-                    f"power {total + 1} of lowering root ({a},{b}) is nonzero"
-                )
-            bound = total + 1
-            for r in range(1, bound + 1):
-                for s in range(1, bound + 1):
-                    if not gradrel_required(r, s, parts):
-                        continue
-                    w = apply_word(
-                        m, vec, [("f", (a, b), 0, r + s), ("e", (a, b), 1, s)]
-                    )
-                    if w:
-                        report.append(
-                            f"mixed relation (r={r}, s={s}) at root ({a},{b}) is nonzero"
-                        )
-        else:
-            for k in range(kmax + 1):
-                if apply_word(m, vec, [("f", (a, b), k, 1)]):
-                    report.append(
-                        f"lowering root ({a},{b}) t^{k} does not kill the generator"
-                    )
+        if not a <= i <= b:
+            report += _lowering_report(m, vec, (a, b), range(m.trunc + 1))
+        elif apply_word(m, vec, [("f", (a, b), 0, bound)]):
+            report.append(f"power {bound} of lowering root ({a},{b}) is nonzero")
+    for (a, b), r, s, _ in _mixed_words(m, vec, i, 2 * bound, bound):
+        if r <= bound and gradrel_required(r, s, parts):
+            report.append(f"mixed relation (r={r}, s={s}) at root ({a},{b}) is nonzero")
     return report
 
 
 def find_nonrelation_witness(m: GtModule, vec, i: int, xi):
     """Smallest out-of-family pair that acts nonzero, or None.
 
-    Scans pairs (r, s) with r + s <= |xi| that gradrel_required leaves
-    out and returns (root, r, s) for the first one whose mixed word
-    does not kill vec.  A witness shows the required family is sharp.
+    Walks the mixed words with r + s <= |xi| and returns (root, r, s)
+    for the first pair that gradrel_required leaves out.  A witness
+    shows the required family is sharp.
     """
-    xi = xi if isinstance(xi, Partition) else Partition(xi)
-    parts = xi.parts
-    total = sum(parts)
-    for a, b in positive_roots(m.rank):
-        if not a <= i <= b:
-            continue
-        for q in range(2, total + 1):
-            for s in range(1, q):
-                r = q - s
-                if gradrel_required(r, s, parts):
-                    continue
-                w = apply_word(
-                    m, vec, [("f", (a, b), 0, r + s), ("e", (a, b), 1, s)]
-                )
-                if w:
-                    return (a, b), r, s
+    parts = Partition(xi).parts
+    for root, r, s, _ in _mixed_words(m, vec, i, sum(parts), sum(parts)):
+        if not gradrel_required(r, s, parts):
+            return root, r, s
     return None

@@ -69,6 +69,7 @@ from .typea import (
     cartan_matrix,
     dominant_rep,
     fundamental_weight,
+    integral_weight,
     is_dominant,
     simple_root,
     weight_add,
@@ -235,7 +236,7 @@ def simple_gmodule(n: int, lam) -> GtModule:
     """The simple g-module of highest weight lam, realized as the
     submodule generated by the top pure tensor inside a product of
     exterior powers."""
-    lam = tuple(int(x) for x in lam)
+    lam = integral_weight(lam)
     if len(lam) != n or not is_dominant(lam):
         raise ValueError("weight must be dominant of matching rank")
     factors = []

@@ -22,6 +22,15 @@ Weight = tuple  # tuple[int, ...] of length n, fundamental weight basis
 WeylElt = tuple  # permutation of 1..n+1
 
 
+def integral_weight(lam) -> Weight:
+    """lam as ints; ValueError unless every coordinate is integral."""
+    lam = tuple(lam)
+    out = tuple(int(c) for c in lam)
+    if out != lam:
+        raise ValueError(f"weight coordinates must be integers, got {lam}")
+    return out
+
+
 def rank_of(lam) -> int:
     n = len(lam)
     if n < 1:
@@ -193,6 +202,7 @@ def weyl_dim(lam) -> int:
     For type A this is the product over intervals [a, b] of
     (sum of lam_j + 1 over the interval) / (b - a + 1).
     """
+    lam = integral_weight(lam)
     n = rank_of(lam)
     if not is_dominant(lam):
         raise ValueError("weight must be dominant")
@@ -305,6 +315,7 @@ def char_simple(lam) -> Character:
     come out as positive integers.  An independent tableau-counting oracle
     lives in the test suite.
     """
+    lam = integral_weight(lam)
     n = rank_of(lam)
     if not is_dominant(lam):
         raise ValueError("weight must be dominant")
@@ -425,13 +436,6 @@ class Partition:
             l_j = ms[s - j + 1] - ms[s - j]
             out.append((n_j, l_j))
         return Partition.from_rle(out)
-
-    def to_json(self):
-        return list(self.parts)
-
-    @staticmethod
-    def from_json(data) -> "Partition":
-        return Partition(tuple(int(x) for x in data))
 
 
 def partitions_of(m: int):

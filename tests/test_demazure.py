@@ -1,8 +1,11 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import krfl.demazure
 from krfl.demazure import (
+    _mixed_words,
     check_demazure_relations,
     check_gradrel_relations,
     find_nonrelation_witness,
@@ -13,15 +16,19 @@ from krfl.demazure import (
     rect_demazure,
 )
 from krfl.modules import (
+    apply_word,
     check_axioms,
+    cyclic_submodule,
     fusion_product,
     graded_character,
+    tensor_modules,
 )
 from krfl.typea import (
     Partition,
     char_simple,
     fundamental_weight,
     partitions_of,
+    positive_roots,
     weight_scale,
     weyl_dim,
 )
@@ -72,6 +79,11 @@ class TestLocalWeyl:
         with pytest.raises(ValueError):
             local_weyl(2, (1, -1))
 
+    def test_non_integral_weight_rejected(self):
+        with pytest.raises(ValueError, match="integers"):
+            local_weyl(1, (1.5,))
+        assert local_weyl(1, (Fraction(2),)) is local_weyl(1, (2,))
+
 
 class TestRectangular:
     def test_level_one_is_local_weyl(self):
@@ -97,6 +109,11 @@ class TestRectangular:
     def test_level_must_be_positive(self):
         with pytest.raises(ValueError):
             rect_demazure(1, 0, (0,))
+
+    def test_non_integral_weight_rejected(self):
+        with pytest.raises(ValueError, match="integers"):
+            rect_demazure(1, 1, (1.5,))
+        assert rect_demazure(1, 2, (4.0,)) is rect_demazure(1, 2, (4,))
 
     @pytest.mark.parametrize(
         "n,i,ell,copies",
@@ -132,9 +149,13 @@ class TestGenDemazure:
         [(1, 1, (2, 1)), (1, 1, (2, 2, 1)), (2, 1, (2, 1)), (2, 2, (3, 1))],
     )
     def test_tensor_order_does_not_change_character(self, n, i, xi):
-        asc = graded_character(gen_demazure(n, i, xi))
-        desc = graded_character(gen_demazure(n, i, xi, descending=True))
-        assert asc == desc
+        omega = fundamental_weight(n, i)
+        blocks = reversed(Partition(xi).rle())
+        rev = tensor_modules(
+            [rect_demazure(n, b, weight_scale(b * m, omega)) for m, b in blocks]
+        )
+        desc = graded_character(cyclic_submodule(rev, gen(rev)))
+        assert graded_character(gen_demazure(n, i, xi)) == desc
 
     def test_empty_partition_rejected(self):
         with pytest.raises(ValueError):
@@ -200,6 +221,12 @@ class TestDemazureRelations:
         m = local_weyl(2, (2, 0))
         assert check_demazure_relations(m, gen(m), 1, (2, 0)) == []
 
+    def test_non_integral_weight_rejected(self):
+        m = local_weyl(1, (1,))
+        with pytest.raises(ValueError, match="integers"):
+            check_demazure_relations(m, gen(m), 1, (1.5,))
+        assert check_demazure_relations(m, gen(m), 1, (Fraction(1),)) == []
+
 
 class TestGradedRelations:
     def test_required_set_examples(self):
@@ -226,12 +253,68 @@ class TestGradedRelations:
         assert check_gradrel_relations(m, gen(m), i, xi) == []
 
     def test_mixed_word_example(self):
-        from krfl.modules import apply_word
-
         m = fusion_product(1, 1, (1, 1))
         v = gen(m)
         assert apply_word(m, v, [("f", 1, 0, 3), ("e", 1, 1, 2)]) == {}
         assert apply_word(m, v, [("f", 1, 0, 2), ("e", 1, 1, 1)]) != {}
+
+    @pytest.mark.parametrize(
+        "n,i,xi",
+        [(n, i, xi.parts) for n in (1, 2) for i in range(1, n + 1)
+         for size in range(1, 5) for xi in partitions_of(size)]
+        + [(3, 2, (2, 1))],
+    )
+    def test_walk_matches_words_built_from_the_generator(self, n, i, xi):
+        m = fusion_product(n, i, xi)
+        v = gen(m)
+        qmax = 2 * sum(xi) + 2
+        walk = list(_mixed_words(m, v, i, qmax, qmax))
+        order = [(root, r + s, s) for root, r, s, _ in walk]
+        assert order == sorted(order)
+        images = {(root, r, s): w for root, r, s, w in walk}
+        for root in positive_roots(n):
+            if not root[0] <= i <= root[1]:
+                continue
+            for q in range(2, qmax + 1):
+                for s in range(1, q):
+                    want = apply_word(m, v, [("f", root, 0, q), ("e", root, 1, s)])
+                    assert images.get((root, q - s, s), {}) == want, (root, q - s, s)
+
+    def test_lowest_weight_vector_is_one_message(self):
+        m = fusion_product(2, 1, (1, 1))
+        (low,) = [j for j, w in enumerate(m.weights) if w == (0, -2)]
+        assert check_gradrel_relations(m, {low: ONE}, 1, (1, 1)) == [
+            "generator does not have the claimed weight"
+        ]
+
+    def test_torus_relation_is_checked(self):
+        m = fusion_product(2, 1, (1, 1))
+        v = gen(m)
+        m._mats[("h", 1, 1)] = {m.cyclic_index: ((m.cyclic_index, 1),)}
+        report = check_gradrel_relations(m, v, 1, (1, 1))
+        assert "torus node 1 t^1 does not kill the generator" in report
+
+    def test_single_part_family_and_one_walk_per_root(self, monkeypatch):
+        # against xi = (2,) every pair is required, and the fusion of two
+        # one-box parts is nonzero on (r, s) = (1, 1) at both roots
+        # through node 1; the walk reaches each lowering power once, so
+        # each root costs |xi| + 1 letters f for the power relation and
+        # at most |xi| + 1 more, since f^{|xi|+1} kills the generator
+        m = fusion_product(2, 1, (1, 1))
+        letters = Counter()
+
+        def counting(mod, vec, word):
+            for sym, loc, k, power in word:
+                if sym == "f" and k == 0:
+                    letters[loc] += power
+            return apply_word(mod, vec, word)
+
+        monkeypatch.setattr(krfl.demazure, "apply_word", counting)
+        assert check_gradrel_relations(m, gen(m), 1, (2,)) == [
+            "mixed relation (r=1, s=1) at root (1,1) is nonzero",
+            "mixed relation (r=1, s=1) at root (1,2) is nonzero",
+        ]
+        assert letters[(1, 1)] <= 2 * 3 and letters[(1, 2)] <= 2 * 3
 
     def test_witness_for_sharpness(self):
         m = fusion_product(1, 1, (1, 1))

@@ -110,6 +110,11 @@ class TestSimple:
         with pytest.raises(ValueError):
             simple_gmodule(2, (1, -1))
 
+    def test_non_integral_weight_rejected(self):
+        with pytest.raises(ValueError, match="integers"):
+            simple_gmodule(1, (1.5,))
+        assert simple_gmodule(1, (Fraction(2),)).dim == 3
+
 
 class TestGTensor:
     def test_character_is_product(self):

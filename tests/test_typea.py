@@ -111,6 +111,18 @@ def test_weyl_dim_small():
     assert weyl_dim(zero_weight(3)) == 1
 
 
+def test_weyl_dim_rejects_non_integral_weight():
+    with pytest.raises(ValueError, match="integers"):
+        weyl_dim((1.5,))
+    assert weyl_dim((Fraction(2), 1.0)) == weyl_dim((2, 1))
+
+
+def test_char_simple_rejects_non_integral_weight():
+    with pytest.raises(ValueError, match="integers"):
+        char_simple((Fraction(3, 2),))
+    assert char_simple((2.0,)) == char_simple((2,))
+
+
 def test_char_simple_sl2():
     assert char_simple((2,)) == Character({(2,): 1, (0,): 1, (-2,): 1})
     assert char_simple((0,)) == Character({(0,): 1})

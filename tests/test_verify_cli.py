@@ -407,6 +407,16 @@ class TestCache:
         path.write_text("{ not json")
         assert load(desc) is None
 
+    def test_cache_dir_naming_a_file_exits_two(self, tmp_path, monkeypatch, capsys):
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("")
+        monkeypatch.setenv("KRFL_CACHE_DIR", str(blocker))
+        rc = main(["fusion", "--rank", "1", "--node", "1", "--partition", "1"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"krfl: error: cannot write the cache in {blocker}: ")
+        assert err.count("\n") == 1
+
     def test_non_object_entry_is_a_miss(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("KRFL_CACHE_DIR", str(tmp_path / "cache"))
         argv = ["fusion", "--rank", "1", "--node", "1", "--partition", "1,1"]
