@@ -133,6 +133,8 @@ def gen_demazure(n: int, i: int, xi) -> GtModule:
 
 def level_exponents(ell: int, pairing: int):
     """The unique (s, m) with pairing = (s-1)*ell + m and 0 < m <= ell."""
+    if ell < 1:
+        raise ValueError("level must be positive")
     if pairing < 1:
         raise ValueError("pairing must be positive")
     s = -(-pairing // ell)

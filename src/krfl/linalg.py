@@ -10,7 +10,9 @@ A matrix is in normal form when every column is sorted by row, has no
 zero entry and is not empty; mat_from_columns and mat_bracket return
 it, and mat_scale keeps it.  Two matrices in normal form are
 equal exactly when they compare equal with ==, so no matrix difference
-is ever formed to test an identity.
+is ever formed to test an identity.  mat_bracket builds its result in
+that form directly: one dict per column, filled straight from the
+column tuples of both operands and sorted once.
 
 Row reduction is block local.  Every vector handled by the module engine is
 homogeneous for some label (a weight, or a weight-degree pair), and vectors
@@ -88,13 +90,30 @@ def mat_scale(a, c):
 
 
 def mat_bracket(a, b):
-    """Commutator a∘b - b∘a, built column by column, in normal form."""
-    cols = {}
+    """Commutator a∘b - b∘a, in normal form.
+
+    Column c of a∘b is the sum of x·a[j] over the entries (j, x) of
+    b[c], and column c of b∘a that of x·b[j] over a[c]; both are read
+    straight off the column tuples into one dict per column, which is
+    then sorted once with zeros dropped.  An empty operand gives {} at
+    once.
+    """
+    if not a or not b:
+        return {}
+    out = {}
     for c in a.keys() | b.keys():
-        v = mat_apply(a, dict(b.get(c, ())))
-        vec_iadd_scaled(v, mat_apply(b, dict(a.get(c, ()))), -1)
-        cols[c] = v
-    return mat_from_columns(cols)
+        acc = {}
+        for j, x in b.get(c, ()):
+            for i, y in a.get(j, ()):
+                acc[i] = acc.get(i, 0) + x * y
+        for j, x in a.get(c, ()):
+            for i, y in b.get(j, ()):
+                acc[i] = acc.get(i, 0) - x * y
+        col = [(i, _canon(y)) for i, y in acc.items() if y]
+        if col:
+            col.sort()
+            out[c] = tuple(col)
+    return out
 
 
 def _cancel(v, c, row, p, g, scale):
@@ -207,12 +226,15 @@ class Echelon:
 
     def _sweep(self, v, label, scale, coeffs):
         """Triangular in-place elimination against rows; returns the final
-        scale and adds the exact basis coefficient of every row hit to
+        scale and stores the exact basis coefficient of every row hit in
         coeffs.
 
         The vector represented is v/scale throughout.  A pivot is the
         minimum of its row's support, so cancelling at pivot p only
         introduces entries above p and one ascending pass suffices.
+        Each pivot is popped at most once, so a row gets one coefficient
+        per sweep: the int c itself while the scale is 1, which is the
+        common case, and c/scale otherwise.
         """
         block = self.pivots.get(label)
         if not block or not v:
@@ -223,7 +245,7 @@ class Echelon:
             if c is None:
                 continue
             row_no = block[p]
-            coeffs[row_no] = coeffs.get(row_no, 0) + Fraction(c, scale)
+            coeffs[row_no] = c if scale == 1 else _canon(Fraction(c, scale))
             scale = _cancel(v, c, self.rows[row_no], p, self.scales[row_no], scale)
         return scale
 
@@ -287,7 +309,6 @@ class Echelon:
         w, scale = self._cleared(v)
         coeffs = {}
         scale = self._sweep(w, label, scale, coeffs)
-        coeffs = {r: _canon(c) for r, c in coeffs.items()}
         if scale == 1:
             return coeffs, w
         return coeffs, {i: _canon(Fraction(x, scale)) for i, x in w.items()}

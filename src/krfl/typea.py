@@ -25,7 +25,10 @@ WeylElt = tuple  # permutation of 1..n+1
 def integral_weight(lam) -> Weight:
     """lam as ints; ValueError unless every coordinate is integral."""
     lam = tuple(lam)
-    out = tuple(int(c) for c in lam)
+    try:
+        out = tuple(int(c) for c in lam)
+    except (OverflowError, ValueError):  # an infinite or NaN coordinate
+        out = None
     if out != lam:
         raise ValueError(f"weight coordinates must be integers, got {lam}")
     return out

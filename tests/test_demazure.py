@@ -84,6 +84,11 @@ class TestLocalWeyl:
             local_weyl(1, (1.5,))
         assert local_weyl(1, (Fraction(2),)) is local_weyl(1, (2,))
 
+    @pytest.mark.parametrize("c", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_weight_rejected(self, c):
+        with pytest.raises(ValueError, match="integers"):
+            local_weyl(1, (c,))
+
 
 class TestRectangular:
     def test_level_one_is_local_weyl(self):
@@ -195,6 +200,14 @@ class TestLevelExponents:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             level_exponents(2, 0)
+
+    @pytest.mark.parametrize("ell", [0, -1])
+    def test_level_below_one_rejected(self, ell):
+        with pytest.raises(ValueError, match="level must be positive"):
+            level_exponents(ell, 1)
+        m = local_weyl(1, (1,))
+        with pytest.raises(ValueError, match="level must be positive"):
+            check_demazure_relations(m, gen(m), ell, (1,))
 
 
 class TestDemazureRelations:

@@ -115,6 +115,11 @@ class TestSimple:
             simple_gmodule(1, (1.5,))
         assert simple_gmodule(1, (Fraction(2),)).dim == 3
 
+    @pytest.mark.parametrize("c", [float("inf"), float("nan")])
+    def test_non_finite_weight_rejected(self, c):
+        with pytest.raises(ValueError, match="integers"):
+            simple_gmodule(1, (c,))
+
 
 class TestGTensor:
     def test_character_is_product(self):
@@ -563,6 +568,17 @@ class TestApplyWord:
         assert w != {}
         assert m.weight_of(w) == (1, -1)
 
+    def test_torus_acts_at_single_nodes(self):
+        m = fusion_product(2, 1, (1, 1))
+        v = top_vec(m)
+        h = m.act("h", 1, 0, v)
+        assert h == {j: 2 * c for j, c in v.items()}
+        assert apply_word(m, v, [("h", 1, 0, 1)]) == h
+        assert apply_word(m, v, [("h", (1, 1), 0, 1)]) == h
+        assert apply_word(m, v, [("h", (2, 2), 1, 1)]) == m.act("h", 2, 1, v)
+        with pytest.raises(ValueError, match="single nodes"):
+            apply_word(m, v, [("h", (1, 2), 0, 1)])
+
 
 def _evaluation_tensor(n, lam, points):
     g = simple_gmodule(n, lam)
@@ -711,6 +727,22 @@ class TestAxiomChecker:
         key = key(m)
         m._mats[key] = replace(m.matrix(*key))
         assert check_axioms(m) == want
+
+    def test_each_bracket_is_computed_once(self, monkeypatch):
+        """One check_axioms pass never brackets the same pair of stored
+        matrices twice: each adjacent root vector is built once and
+        reused for every split of its t-power."""
+        m = fusion_product(2, 1, (2, 1))
+        bracket = krfl.modules.mat_bracket
+        pairs = Counter()
+
+        def spy(a, b):
+            pairs[id(a), id(b)] += 1
+            return bracket(a, b)
+
+        monkeypatch.setattr(krfl.modules, "mat_bracket", spy)
+        assert check_axioms(m) == []
+        assert pairs and max(pairs.values()) == 1
 
     def test_graded_top_degree_is_clean(self):
         m = fusion_product(1, 1, (1, 1))

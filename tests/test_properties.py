@@ -5,7 +5,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from krfl import InvariantError
@@ -108,6 +108,7 @@ def test_echelon_coordinates_reduce_and_insert_agree(inserted, probes):
     for vec, label in inserted + probes:
         coeffs, residual = ech.coordinates(vec, label)
         assert _rebuilt(ech, coeffs, residual) == vec
+        assert all(type(c) is int for c in coeffs.values() if c.denominator == 1)
         assert residual == ech.reduce(vec, label)
         assert ech.reduce(residual, label) == residual
         if (vec, label) in inserted or ech.full(label):
@@ -218,8 +219,17 @@ def _dense(mat):
     return out
 
 
+HALF_E01 = {1: ((0, Fraction(1, 2)),)}  # (1/2)·E_01
+DIAGONAL = {0: ((0, 3),), 1: ((1, Fraction(1, 2)),)}
+
+
 @settings(max_examples=60, deadline=None)
 @given(sparse_mats(), sparse_mats())
+@example({}, HALF_E01)  # an empty operand on either side
+@example(HALF_E01, {})
+@example(HALF_E01, {0: ((1, 4),)})  # Fraction products that cancel to ints
+@example(DIAGONAL, {0: ((0, -1),), 2: ((2, 5),)})  # commuting: exactly zero
+@example(HALF_E01, HALF_E01)
 def test_mat_bracket_is_the_dense_commutator_in_normal_form(a, b):
     da, db = _dense(a), _dense(b)
     want = {}
@@ -236,6 +246,8 @@ def test_mat_bracket_is_the_dense_commutator_in_normal_form(a, b):
     got = mat_bracket(a, b)
     assert got == want
     assert got == mat_from_columns({c: dict(col) for c, col in got.items()})
+    entries = [x for col in got.values() for _, x in col]
+    assert all(type(x) is int for x in entries if x.denominator == 1)
 
 
 ROUTES = {
