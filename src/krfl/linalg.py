@@ -10,9 +10,8 @@ A matrix is in normal form when every column is sorted by row, has no
 zero entry and is not empty; mat_from_columns and mat_bracket return
 it, and mat_scale keeps it.  Two matrices in normal form are
 equal exactly when they compare equal with ==, so no matrix difference
-is ever formed to test an identity.  mat_bracket builds its result in
-that form directly: one dict per column, filled straight from the
-column tuples of both operands and sorted once.
+is ever formed to test an identity.  mat_bracket builds that form
+directly, one column dict at a time, from both operands' column tuples.
 
 Row reduction is block local.  Every vector handled by the module engine is
 homogeneous for some label (a weight, or a weight-degree pair), and vectors
@@ -92,11 +91,9 @@ def mat_scale(a, c):
 def mat_bracket(a, b):
     """Commutator a∘b - b∘a, in normal form.
 
-    Column c of a∘b is the sum of x·a[j] over the entries (j, x) of
-    b[c], and column c of b∘a that of x·b[j] over a[c]; both are read
-    straight off the column tuples into one dict per column, which is
-    then sorted once with zeros dropped.  An empty operand gives {} at
-    once.
+    Column c sums x·a[j] over the entries (j, x) of b[c] and -x·b[j]
+    over those of a[c] into one dict, sorted once; an empty operand
+    gives {} at once.
     """
     if not a or not b:
         return {}

@@ -827,14 +827,10 @@ def check_axioms(m: GtModule) -> list:
     A g-module (trunc 0) is checked at t^0 alone.  Every matrix is in
     the normal form of mat_from_columns, so each identity is one ==.
 
-    No bracket is computed twice.  Each adjacent root vector is built
-    once per t-power and shared by every split of it; the split
-    [x_a t^{r+s}, x_{a+1} t^0] that defines it is not rechecked.  The
-    bracket is antisymmetric, so an h-h, e-e or f-f identity
-    [x_i t^r, x_j t^s] whose mirror [x_j t^s, x_i t^r] came first (or
-    which is [x, x] = 0) takes the mirror's verdict: both of its sides
-    are minus the mirror's.  Reports are the same message for message
-    as when every identity is bracketed on its own.
+    No bracket is computed twice: each adjacent root vector is built once
+    per t-power, and the split that defines it is not rechecked; an h-h,
+    e-e or f-f identity whose mirror [x_j t^s, x_i t^r] came first takes
+    its verdict, as both of its sides are minus the mirror's.
     """
     report = []
     n = m.rank
@@ -852,10 +848,10 @@ def check_axioms(m: GtModule) -> list:
                     n, m.weights, m.degrees, sym, i, k, mat(sym, i, k), report
                 )
     failed = set()  # (sym, i, j, r, s) of the failed same-family brackets
-    roots = {}  # (sym, i, r + s) -> [x_i t^{r+s}, x_{i+1} t^0], one bracket each
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             a = cart[i - 1][j - 1]
+            roots = {}  # (sym, r + s) -> [x_i t^{r+s}, x_{i+1} t^0], one bracket each
             for r in range(kmax + 1):
                 for s in range(kmax + 1 - r):
                     want = mat("h", i, r + s) if i == j else {}
@@ -877,9 +873,9 @@ def check_axioms(m: GtModule) -> list:
                         elif s == 0:
                             wrong = False  # the adjacent root vector's definition
                         else:
-                            root = roots.get((sym, i, r + s))
+                            root = roots.get((sym, r + s))
                             if root is None:
-                                root = roots[sym, i, r + s] = mat_bracket(
+                                root = roots[sym, r + s] = mat_bracket(
                                     mat(sym, i, r + s), mat(sym, j, 0)
                                 )
                             wrong = mat_bracket(mat(sym, i, r), mat(sym, j, s)) != root
