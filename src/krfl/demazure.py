@@ -34,7 +34,6 @@ its chain, and a zero power the walk of its root.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 from .modules import (
     GtModule,
@@ -42,6 +41,7 @@ from .modules import (
     cyclic_submodule,
     default_points,
     fusion_of_simples,
+    module_store,
     tensor_modules,
 )
 from .typea import (
@@ -62,18 +62,12 @@ def local_weyl(n: int, lam, points=None) -> GtModule:
     dimension among those, prod_i binom(n+1, i)^{lam_i} in type A.
 
     Built as the fusion of one fundamental evaluation module per unit
-    of each coordinate of lam, at pairwise distinct points.
+    of each coordinate of lam, at pairwise distinct points: one
+    fusion_of_simples call, stored with every other call that makes it.
     """
     lam = integral_weight(lam)
     if len(lam) != n or not is_dominant(lam):
         raise ValueError("weight must be dominant of matching rank")
-    if points is not None:
-        points = tuple(Fraction(z) for z in points)
-    return _local_weyl(n, lam, points)
-
-
-@lru_cache(maxsize=None)
-def _local_weyl(n, lam, points):
     lams = []
     for i in range(1, n + 1):
         lams.extend([fundamental_weight(n, i)] * lam[i - 1])
@@ -89,7 +83,8 @@ def rect_demazure(n: int, ell: int, lam, points=None) -> GtModule:
 
     lam must be coordinatewise divisible by ell; with mu = lam/ell the
     module is the closure of the ell-fold tensor of generators inside
-    local_weyl(mu)^{tensor ell}.
+    local_weyl(mu)^{tensor ell}.  Level one is local_weyl(mu) itself;
+    a higher level is stored in module_store under (n, ell, lam, points).
     """
     if ell < 1:
         raise ValueError("level must be positive")
@@ -98,17 +93,15 @@ def rect_demazure(n: int, ell: int, lam, points=None) -> GtModule:
         raise ValueError("weight must be divisible by the level")
     if points is not None:
         points = tuple(Fraction(z) for z in points)
-    return _rect_demazure(n, ell, lam, points)
-
-
-@lru_cache(maxsize=None)
-def _rect_demazure(n, ell, lam, points):
     mu = tuple(c // ell for c in lam)
-    base = local_weyl(n, mu, points)
     if ell == 1:
-        return base
-    amb = tensor_modules([base] * ell)
-    return cyclic_submodule(amb, {amb.cyclic_index: ONE})
+        return local_weyl(n, mu, points)
+
+    def build():
+        amb = tensor_modules([local_weyl(n, mu, points)] * ell)
+        return cyclic_submodule(amb, {amb.cyclic_index: ONE})
+
+    return module_store(("rect_demazure", n, ell, lam, points), build)
 
 
 def gen_demazure(n: int, i: int, xi) -> GtModule:

@@ -39,6 +39,14 @@ that weight no further candidate of the stage (see _close).
 cyclic_submodule and fusion_filtration differ only in the checks they
 make afterwards and in how _module_on_rows reads the rows.
 
+Graded modules are built once per process.  fusion_of_simples and
+demazure.rect_demazure (level above one) take their module from
+module_store, keyed by the construction call, so every caller making
+the same call gets the same object; a stored module is shared and must
+not be altered.  The store is bounded by the total dimension of what
+it holds (STORE_BUDGET, least recently used out first), and
+module_store.cache_clear() empties it.
+
 Non-simple root vectors are fixed as left-normed brackets,
 x_{(a,b)} = [x_{(a,b-1)}, x_b] for the interval root alpha_a + ... +
 alpha_b; the relations tested through root vectors do not depend on
@@ -50,7 +58,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from collections import Counter
+from collections import Counter, OrderedDict
 from fractions import Fraction
 from functools import lru_cache
 
@@ -79,6 +87,35 @@ from .typea import (
 )
 
 ONE = Fraction(1)
+STORE_BUDGET = 5000  # total dimension of the modules module_store keeps
+
+
+def _module_store():
+    entries = OrderedDict()  # key -> module, least recently used first
+
+    def module_store(key, build):
+        """The module stored under key, or build() stored under key.
+
+        After a store the least recently used modules are dropped until
+        their total dimension is within STORE_BUDGET, never the one just
+        stored: the store holds at most the budget plus one module.
+        """
+        m = entries.get(key)
+        if m is not None:
+            entries.move_to_end(key)
+            return m
+        m = entries[key] = build()
+        total = sum(x.dim for x in entries.values())
+        while total > STORE_BUDGET and len(entries) > 1:
+            total -= entries.pop(next(iter(entries))).dim
+        return m
+
+    module_store.entries = entries
+    module_store.cache_clear = entries.clear
+    return module_store
+
+
+module_store = _module_store()
 
 
 def _shift(rank, sym, i):
@@ -653,18 +690,23 @@ def default_points(p: int):
 
 
 def fusion_of_simples(n, lams, points) -> GtModule:
-    """Graded fusion of the simple modules V(lam_k) at the given points."""
+    """Graded fusion of the simple modules V(lam_k) at the given points,
+    built once per (n, lams, points) while module_store keeps it."""
+    lams = tuple(integral_weight(lam) for lam in lams)
     points = tuple(Fraction(z) for z in points)
     if len(points) != len(lams):
         raise ValueError("one point per factor required")
     if len(set(points)) != len(points):
         raise ValueError("points must be pairwise distinct")
-    factors = [
-        evaluation_module(simple_gmodule(n, tuple(lam)), z)
-        for lam, z in zip(lams, points)
-    ]
-    big = factors[0] if len(factors) == 1 else tensor_modules(factors)
-    return fusion_filtration(big, {big.cyclic_index: ONE})
+
+    def build():
+        factors = [
+            evaluation_module(simple_gmodule(n, lam), z) for lam, z in zip(lams, points)
+        ]
+        big = factors[0] if len(factors) == 1 else tensor_modules(factors)
+        return fusion_filtration(big, {big.cyclic_index: ONE})
+
+    return module_store(("fusion_of_simples", n, lams, points), build)
 
 
 def fusion_product(n: int, i: int, xi, points=None) -> GtModule:
@@ -763,21 +805,32 @@ def _root_apply(m, sym, interval, k, vec):
     """One application of the interval root generator, bracket by bracket.
 
     [x ⊗ t^k, y_b ⊗ t^0] applied to vec; recursion peels the last node off
-    the interval so only simple-generator columns are ever needed.  The
-    torus generator h acts at single nodes only, so (a, a) is its one
-    interval.
+    the interval so only simple-generator columns are ever needed.
     """
     a, b = interval
-    if not 1 <= a <= b <= m.rank:
-        raise ValueError("bad interval")
     if a == b:
         return m.act(sym, a, k, vec)
-    if sym == "h":
-        raise ValueError("h acts at single nodes, not on an interval root")
     inner = (a, b - 1)
     out = _root_apply(m, sym, inner, k, m.act(sym, b, 0, vec))
     vec_iadd_scaled(out, m.act(sym, b, 0, _root_apply(m, sym, inner, k, vec)), -1)
     return out
+
+
+def _check_word(m: GtModule, word):
+    """ValueError unless every entry of the word can act on m."""
+    for sym, loc, k, power in word:
+        if sym not in ("e", "f", "h"):
+            raise ValueError(f"unknown generator {sym!r}")
+        a, b = loc if isinstance(loc, tuple) else (loc, loc)
+        if not 1 <= a <= b <= m.rank:
+            raise ValueError("bad interval")
+        if sym == "h" and a != b:
+            # the torus generator h acts at single nodes, so (a, a) is its
+            # one interval
+            raise ValueError("h acts at single nodes, not on an interval root")
+        m._acts_by_zero(k)  # raises for a negative or unavailable t-power
+        if power < 0:
+            raise ValueError("negative repeat count")
 
 
 def apply_word(m: GtModule, vec, word):
@@ -785,9 +838,12 @@ def apply_word(m: GtModule, vec, word):
 
     Each word entry is (sym, node or interval, t-power, repeat count),
     where an interval (a, b) with a < b names a root vector of e or f;
-    entries act in list order on the running vector.  Returns the exact
-    image, {} iff the product kills vec.
+    entries act in list order on the running vector.  Every entry is
+    checked before any acts, so a malformed word raises ValueError even
+    on a vector it would kill.  Returns the exact image, {} iff the
+    product kills vec.
     """
+    _check_word(m, word)
     out = dict(vec)
     for sym, loc, k, power in word:
         for _ in range(power):
@@ -828,7 +884,8 @@ def check_axioms(m: GtModule) -> list:
     the normal form of mat_from_columns, so each identity is one ==.
 
     No bracket is computed twice: each adjacent root vector is built once
-    per t-power, and the split that defines it is not rechecked; an h-h,
+    per t-power, and the split that defines it is not rechecked; each
+    target a x_j t^q of an h-bracket is scaled once per (x, j, q, a); an h-h,
     e-e or f-f identity whose mirror [x_j t^s, x_i t^r] came first takes
     its verdict, as both of its sides are minus the mirror's.
     """
@@ -848,6 +905,14 @@ def check_axioms(m: GtModule) -> list:
                     n, m.weights, m.degrees, sym, i, k, mat(sym, i, k), report
                 )
     failed = set()  # (sym, i, j, r, s) of the failed same-family brackets
+    scaled = {}  # (sym, j, q, c) -> c x_j t^q, the h-bracket targets
+
+    def scale(sym, j, q, c):
+        key = (sym, j, q, c)
+        if key not in scaled:
+            scaled[key] = mat_scale(mat(sym, j, q), c)
+        return scaled[key]
+
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             a = cart[i - 1][j - 1]
@@ -857,10 +922,10 @@ def check_axioms(m: GtModule) -> list:
                     want = mat("h", i, r + s) if i == j else {}
                     if mat_bracket(mat("e", i, r), mat("f", j, s)) != want:
                         report.append(f"[e_{i} t^{r}, f_{j} t^{s}] wrong")
-                    want = mat_scale(mat("e", j, r + s), a)
+                    want = scale("e", j, r + s, a)
                     if mat_bracket(mat("h", i, r), mat("e", j, s)) != want:
                         report.append(f"[h_{i} t^{r}, e_{j} t^{s}] wrong")
-                    want = mat_scale(mat("f", j, r + s), -a)
+                    want = scale("f", j, r + s, -a)
                     if mat_bracket(mat("h", i, r), mat("f", j, s)) != want:
                         report.append(f"[h_{i} t^{r}, f_{j} t^{s}] wrong")
                     for sym in "hef":

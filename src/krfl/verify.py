@@ -1,11 +1,15 @@
 """Cross-checks that pit independently built objects against each other.
 
 Every check returns a Report.  The two sides of the main comparison
-come from different constructions that share only the root-system
-layer: the fusion engine filters an evaluation tensor, the Demazure
-builder closes a generator inside a tensor of rectangular modules.
-Agreement of their graded characters is therefore evidence, not
-bookkeeping.
+come from different constructions: the fusion engine filters an
+evaluation tensor, the Demazure builder closes a generator inside a
+tensor of rectangular modules, so agreement of their graded characters
+is evidence, not bookkeeping.  The one exception is xi = (1^k): the
+conjugate (k) is a single level-one block, local_weyl(k omega_i), which
+is the same stored fusion_of_simples call as fusion_product(n, i,
+(1^k)), so both sides are one module and the comparison is an
+identity.  An engine-free oracle, the fermionic formula in the tests,
+covers those cases.
 
 Checks that would need an ambient space above the dimension cap are
 skipped and say so; a skip is never silently counted as a pass.

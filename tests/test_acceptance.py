@@ -6,15 +6,12 @@ holds on the nose or its test fails.  Run with -v to get one line
 per criterion.
 """
 
-import gc
 import itertools
 import time
 from fractions import Fraction
 from functools import lru_cache
 
 from krfl.demazure import (
-    _local_weyl,
-    _rect_demazure,
     check_demazure_relations,
     check_gradrel_relations,
     find_nonrelation_witness,
@@ -67,7 +64,10 @@ CASES = [
 
 @lru_cache(maxsize=None)
 def bundle(n, i, parts):
-    """Both sides of the main comparison, built independently."""
+    """Both sides of the main comparison.  They are built independently
+    except for xi = (1^k), where both are the stored local Weyl module
+    local_weyl(n, k omega_i) and the comparison is an identity; the
+    fermionic-formula oracle checks those cases."""
     fus = fusion_product(n, i, parts)
     gd = gen_demazure(n, i, Partition(parts).conjugate().parts)
     return fus, gd, graded_character(fus), graded_character(gd)
@@ -125,11 +125,6 @@ def test_criterion_04_defining_relations_hold():
                         ell,
                         m,
                     )
-    # the rank-3 all-twos module is 9216 dimensional with its ambient
-    # and action tables; drop it before the remaining tests run
-    _local_weyl.cache_clear()
-    _rect_demazure.cache_clear()
-    gc.collect()
 
 
 def test_criterion_05_block_dimension_formula():

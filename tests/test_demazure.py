@@ -33,6 +33,8 @@ from krfl.typea import (
     weyl_dim,
 )
 
+from test_modules import unshared
+
 ONE = Fraction(1)
 
 
@@ -301,7 +303,7 @@ class TestGradedRelations:
         ]
 
     def test_torus_relation_is_checked(self):
-        m = fusion_product(2, 1, (1, 1))
+        m = unshared(lambda: fusion_product(2, 1, (1, 1)))
         v = gen(m)
         m._mats[("h", 1, 1)] = {m.cyclic_index: ((m.cyclic_index, 1),)}
         report = check_gradrel_relations(m, v, 1, (1, 1))

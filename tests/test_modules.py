@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from krfl.demazure import (
 )
 from krfl.linalg import Echelon, mat_from_columns, mat_scale
 from krfl.modules import (
+    STORE_BUDGET,
     GradedCharacter,
     apply_word,
     check_axioms,
@@ -25,6 +27,7 @@ from krfl.modules import (
     fusion_of_simples,
     fusion_product,
     graded_character,
+    module_store,
     simple_gmodule,
     tensor_gmodules,
     tensor_modules,
@@ -35,6 +38,7 @@ from krfl.typea import (
     dominant_rep,
     fundamental_weight,
     is_dominant,
+    partitions_of,
     weight_scale,
     weyl_dim,
 )
@@ -44,6 +48,16 @@ ONE = Fraction(1)
 
 def top_vec(m):
     return {m.cyclic_index: ONE}
+
+
+def unshared(build):
+    """build() where no other caller can get it, so a test may corrupt it:
+    module_store is emptied before the build, which is then no stored
+    module, and after it, which keeps the new module from being stored."""
+    module_store.cache_clear()
+    m = build()
+    module_store.cache_clear()
+    return m
 
 
 class TestFundamental:
@@ -466,8 +480,8 @@ def _close_every_basis_vector(m):
     return [cyclic_submodule(m, {j: ONE}) for j in range(m.dim)][-1]
 
 
-# every route that builds a module by a closure; the points are fresh so
-# the lru caches of local_weyl and rect_demazure do not skip the closure
+# every route that builds a module by a closure; the test empties
+# module_store first, so no closure is skipped for a stored module
 CLOSURE_ROUTES = {
     "fusion_product": lambda: fusion_product(2, 1, (2, 1), points=(3, 5)),
     "fusion_product_rank3": lambda: fusion_product(3, 2, (1, 1), points=(3, 5)),
@@ -500,6 +514,7 @@ class TestReferenceClosure:
             return ech, borel
 
         monkeypatch.setattr(krfl.modules, "_closure", spy)
+        module_store.cache_clear()
         out = CLOSURE_ROUTES[route]()
         assert seen
         for m, vec, got, _ in seen:
@@ -514,6 +529,66 @@ class TestReferenceClosure:
             assert out.character() == Character(collapsed)
         if route.endswith("non_highest"):
             assert any(borel for *_, borel in seen)
+
+
+class TestModuleStore:
+    def test_single_box_fusion_is_the_local_weyl_module(self):
+        for n, i, k in [(1, 1, 2), (2, 1, 3), (3, 2, 2)]:
+            lam = weight_scale(k, fundamental_weight(n, i))
+            m = local_weyl(n, lam)
+            assert fusion_product(n, i, (1,) * k) is m
+            assert rect_demazure(n, 1, lam) is m
+            assert gen_demazure(n, i, (k,)) is m
+
+    def test_sweep_stays_within_budget_plus_newest_module(self):
+        module_store.cache_clear()
+        built = {}
+        for i in (1, 2, 3):
+            for size in range(1, 5):
+                for xi in partitions_of(size):
+                    for m in (
+                        fusion_product(3, i, xi.parts),
+                        gen_demazure(3, i, xi.conjugate()),
+                    ):
+                        built[id(m)] = m.dim
+        entries = module_store.entries
+        total = sum(m.dim for m in entries.values())
+        newest = next(reversed(entries.values()))
+        assert sum(built.values()) > STORE_BUDGET  # the sweep had to evict
+        assert total <= STORE_BUDGET + newest.dim
+
+    def test_cleared_store_builds_again(self, monkeypatch):
+        filtration = krfl.modules.fusion_filtration
+        calls = []
+
+        def spy(m, vec):
+            calls.append(m.dim)
+            return filtration(m, vec)
+
+        monkeypatch.setattr(krfl.modules, "fusion_filtration", spy)
+        module_store.cache_clear()
+        first = fusion_product(2, 1, (2, 1))
+        assert fusion_product(2, 1, (2, 1)) is first
+        assert calls == [first.dim]
+        module_store.cache_clear()
+        assert fusion_product(2, 1, (2, 1)) is not first
+        assert calls == [first.dim] * 2
+
+    def test_store_is_cleared_with_the_lru_caches(self):
+        # the rule by which a benchmark finds every cache of the package
+        # to clear it: a krfl namespace entry with a callable cache_clear
+        found = {
+            id(obj): obj
+            for name, mod in list(sys.modules.items())
+            if mod is not None and (name == "krfl" or name.startswith("krfl."))
+            for obj in vars(mod).values()
+            if callable(getattr(obj, "cache_clear", None))
+        }
+        assert id(module_store) in found
+        fusion_product(1, 1, (1, 1))
+        for obj in found.values():
+            obj.cache_clear()
+        assert not module_store.entries
 
 
 class TestGradedCharacter:
@@ -578,6 +653,16 @@ class TestApplyWord:
         assert apply_word(m, v, [("h", (2, 2), 1, 1)]) == m.act("h", 2, 1, v)
         with pytest.raises(ValueError, match="single nodes"):
             apply_word(m, v, [("h", (1, 2), 0, 1)])
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [(("h", (1, 2), 0, 1), "single nodes"), (("f", (2, 9), 0, 1), "bad interval")],
+    )
+    def test_malformed_word_is_rejected_on_every_vector(self, entry, message):
+        m = fusion_product(2, 1, (1, 1))
+        for vec in ({}, top_vec(m)):
+            with pytest.raises(ValueError, match=message):
+                apply_word(m, vec, [("f", 1, 0, 1), entry])
 
 
 def _evaluation_tensor(n, lam, points):
@@ -723,7 +808,7 @@ class TestAxiomChecker:
         """One stored matrix corrupted per identity family; the exact
         report list, message for message and in order."""
         build, key, replace, want = AXIOM_CORRUPTIONS[case]
-        m = build()
+        m = unshared(build)
         key = key(m)
         m._mats[key] = replace(m.matrix(*key))
         assert check_axioms(m) == want
@@ -741,6 +826,22 @@ class TestAxiomChecker:
             return bracket(a, b)
 
         monkeypatch.setattr(krfl.modules, "mat_bracket", spy)
+        assert check_axioms(m) == []
+        assert pairs and max(pairs.values()) == 1
+
+    def test_each_scaled_target_is_built_once(self, monkeypatch):
+        """The targets a x_j t^q of the h-brackets are scaled once per
+        (matrix, factor) in one check_axioms pass."""
+        m = fusion_product(3, 1, (2, 2, 1))
+        assert check_axioms(m) == []  # builds every matrix the check reads
+        scale = krfl.modules.mat_scale
+        pairs = Counter()
+
+        def spy(a, c):
+            pairs[id(a), c] += 1
+            return scale(a, c)
+
+        monkeypatch.setattr(krfl.modules, "mat_scale", spy)
         assert check_axioms(m) == []
         assert pairs and max(pairs.values()) == 1
 
