@@ -39,8 +39,8 @@ that weight no further candidate of the stage (see _close).
 cyclic_submodule and fusion_filtration differ only in the checks they
 make afterwards and in how _module_on_rows reads the rows.
 
-Graded modules are built once per process.  fusion_of_simples and
-demazure.rect_demazure (level above one) take their module from
+A graded module is built once while it is stored.  fusion_of_simples
+and demazure.rect_demazure (level above one) take their module from
 module_store, keyed by the construction call, so every caller making
 the same call gets the same object; a stored module is shared and must
 not be altered.  The store is bounded by the total dimension of what

@@ -3,13 +3,16 @@
 These deliberately avoid the production code paths: weight multiplicities
 are counted as semistandard tableaux (Kostka numbers), graded fusion
 multiplicities at node 1 via charge on those tableaux (Kostka-Foulkes
-polynomials), tensor product multiplicities via the Littlewood-Richardson
-rule on skew tableaux, and conjugate partitions by direct column counting.
+polynomials), graded fusion multiplicities at every node via the
+fermionic formula on rigged-configuration shapes, tensor product
+multiplicities via the Littlewood-Richardson rule on skew tableaux, and
+conjugate partitions by direct column counting.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 
 
 def shape_of_weight(lam):
@@ -275,3 +278,134 @@ def all_q_string_groupings(exponents):
         center = top - (length - 1)
         for sub in all_q_string_groupings(pool):
             yield ((center, length),) + sub
+
+
+def _cartan(n):
+    """The Cartan matrix of A_n, written out so nothing is shared with the engine."""
+    return [[2 if a == b else -(abs(a - b) == 1) for b in range(n)] for a in range(n)]
+
+
+def _dominant_below(n, top):
+    """(lam, N) for every dominant lam = top - sum_a N_a alpha_a, N >= 0.
+
+    The root coordinates of a dominant weight are non-negative, so N_a is
+    at most the a-th root coordinate of top, (C^{-1} top)_a, with
+    (C^{-1})_{ab} = min(a, b)(n + 1 - max(a, b))/(n + 1) in type A_n.
+    """
+    bounds = [
+        sum(min(a, b) * (n + 1 - max(a, b)) * top[b - 1] for b in range(1, n + 1))
+        // (n + 1)
+        for a in range(1, n + 1)
+    ]
+    cartan = _cartan(n)  # row a: the coordinates of alpha_a
+    for counts in itertools.product(*(range(x + 1) for x in bounds)):
+        lam = tuple(
+            top[b] - sum(cartan[a][b] * counts[a] for a in range(n)) for b in range(n)
+        )
+        if min(lam) >= 0:
+            yield lam, counts
+
+
+def _partitions(total, cap=None):
+    """Every partition of total with parts at most cap, parts descending."""
+    if total == 0:
+        yield ()
+        return
+    for first in range(min(total, cap or total), 0, -1):
+        for rest in _partitions(total - first, first):
+            yield (first,) + rest
+
+
+@lru_cache(maxsize=None)
+def _q_binomial(top, k):
+    """Coefficients of the Gaussian binomial [top choose k]_q, constant first."""
+    if k == 0 or k == top:
+        return (1,)
+    a, b = _q_binomial(top - 1, k - 1), _q_binomial(top - 1, k)
+    out = [0] * (k * (top - k) + 1)
+    for e, c in enumerate(a):
+        out[e] += c
+    for e, c in enumerate(b):
+        out[e + k] += c  # q^k [top-1 choose k]
+    return tuple(out)
+
+
+def fermionic_graded_multiplicities(n, rectangles):
+    """Graded multiplicities of the simple modules in the fusion of the
+    Kirillov-Reshetikhin modules W^(r)_s of sl_{n+1}, one per rectangle
+    (r, s), from the fermionic formula (Hatayama-Kuniba-Okado-Takagi-
+    Yamada, arXiv:math/9812022; fusion products by Naoi's X = M theorem).
+
+        M_lam(q) = sum_nu q^c(nu) prod_{a,k} [p_k^(a) + m_k^(a) choose m_k^(a)]_q
+
+    over n-tuples of partitions nu = (nu^(1), ..., nu^(n)) with
+    |nu^(a)| the alpha_a-coefficient of sum_j s_j omega_(r_j) - lam;
+    m_k^(a) counts the parts of nu^(a) equal to k.  The vacancy numbers
+    p_k^(a) = sum_{j: r_j = a} min(k, s_j) - sum_b C_ab sum_l min(k, nu^(b)_l)
+    must all be >= 0, and
+    c(nu) = 1/2 sum_{a,b} C_ab sum_{l,l'} min(nu^(a)_l, nu^(b)_l')
+            - sum_j sum_l min(s_j, nu^(r_j)_l).
+    V(lam) sits in degree d with multiplicity [q^-d] M_lam(q).  C is
+    the Cartan matrix of A_n.  Returns {(lam, d): multiplicity}.
+    """
+    cartan = _cartan(n)
+    top = [0] * n
+    for r, s in rectangles:
+        top[r - 1] += s
+    sizes = [s for _, s in rectangles]
+    out = {}
+    for lam, counts in _dominant_below(n, top):
+        for nu in itertools.product(*(tuple(_partitions(x)) for x in counts)):
+            kmax = max(sizes + [p for parts in nu for p in parts] + [1])
+            vacancy = [
+                [
+                    sum(min(k, s) for r, s in rectangles if r == a + 1)
+                    - sum(
+                        cartan[a][b] * sum(min(k, p) for p in nu[b]) for b in range(n)
+                    )
+                    for k in range(kmax + 1)
+                ]
+                for a in range(n)
+            ]
+            if min(min(row[1:]) for row in vacancy) < 0:
+                continue
+            pairing = sum(
+                cartan[a][b] * sum(min(p, q) for p in nu[a] for q in nu[b])
+                for a in range(n)
+                for b in range(n)
+            )
+            charge = pairing // 2 - sum(
+                min(s, p) for r, s in rectangles for p in nu[r - 1]
+            )
+            poly = {charge: 1}  # exponent -> coefficient
+            for a in range(n):
+                for k in set(nu[a]):
+                    m = nu[a].count(k)
+                    product = {}
+                    for f, c in enumerate(_q_binomial(vacancy[a][k] + m, m)):
+                        for e, x in poly.items():
+                            product[e + f] = product.get(e + f, 0) + x * c
+                    poly = product
+            for e, c in poly.items():
+                if c:
+                    out[(lam, -e)] = out.get((lam, -e), 0) + c
+    return out
+
+
+def dominant_graded_character(n, multiplicities):
+    """{(mu, d): multiplicity} at the dominant weights mu, from graded
+    multiplicities {(lam, d): k} of simple modules; weight
+    multiplicities are Kostka numbers.  A graded g-module is fixed by
+    these values, since each degree is a sum of simple modules."""
+    out = {}
+    for (lam, d), k in multiplicities.items():
+        for mu, _ in _dominant_below(n, lam):
+            c = _kostka(lam, mu)
+            if c:
+                out[(mu, d)] = out.get((mu, d), 0) + k * c
+    return out
+
+
+@lru_cache(maxsize=None)
+def _kostka(lam, mu):
+    return kostka_multiplicity(lam, mu)

@@ -51,9 +51,11 @@ def top_vec(m):
 
 
 def unshared(build):
-    """build() where no other caller can get it, so a test may corrupt it:
-    module_store is emptied before the build, which is then no stored
-    module, and after it, which keeps the new module from being stored."""
+    """build() where no other caller can get it, so a test may corrupt it.
+
+    module_store is emptied before the build, so build() returns no
+    module another caller already holds, and after it, so no later
+    caller gets the new one."""
     module_store.cache_clear()
     m = build()
     module_store.cache_clear()
@@ -575,8 +577,9 @@ class TestModuleStore:
         assert calls == [first.dim] * 2
 
     def test_store_is_cleared_with_the_lru_caches(self):
-        # the rule by which a benchmark finds every cache of the package
-        # to clear it: a krfl namespace entry with a callable cache_clear
+        # the rule perfbench/workloads.py uses to find and clear every
+        # cache of the package before a round: a krfl namespace entry
+        # with a callable cache_clear
         found = {
             id(obj): obj
             for name, mod in list(sys.modules.items())
