@@ -1,17 +1,11 @@
-"""Extended affine Weyl elements and the length function.
+"""Extended affine Weyl elements t_mu ∘ w and the length function.
 
 The length of a translated element controls which extremal vector a
 Demazure generator is, and the additivity below is the combinatorial
 engine behind tensoring Demazure generators.  All integer arithmetic.
 """
 
-from krfl.affine import (
-    demazure_pair,
-    ext_finite,
-    ext_simple,
-    ext_translation,
-    length,
-)
+from krfl.affine import ext_finite, ext_translation, length
 from krfl.typea import weyl_elements, weyl_longest
 
 n = 2
@@ -34,15 +28,3 @@ for w in [tuple(weyl_longest(n)), (2, 1, 3), (1, 3, 2)]:
 print()
 print("== every finite element embeds with its finite length ==")
 print(sorted(length(ext_finite(w)) for w in weyl_elements(2)))
-
-print()
-print("== resolving a level and weight into a dominant pair ==")
-for ell, lam in [(1, (2, 0)), (2, (2, 2)), (3, (1, 1))]:
-    x, L = demazure_pair(ell, lam)
-    print(f"level {ell}, weight {lam}: element of length {length(x)}, "
-          f"dominant part {L.finite} at level {L.level}")
-
-print()
-print("s_0 lifts to a translation twisted by the highest-root reflection:")
-s0 = ext_simple(2, 0)
-print(f"  permutation {s0.w}, translation {s0.mu}, length {length(s0)}")

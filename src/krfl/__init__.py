@@ -8,12 +8,8 @@ against each other.
 """
 
 from .affine import (
-    AffineWeight,
     ExtAffineElt,
-    affine_fundamental,
-    demazure_pair,
     ext_finite,
-    ext_simple,
     ext_translation,
     length,
 )

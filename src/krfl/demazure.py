@@ -73,9 +73,15 @@ def local_weyl(n: int, lam, points=None) -> GtModule:
         lams.extend([fundamental_weight(n, i)] * lam[i - 1])
     if not lams:
         lams = [zero_weight(n)]
+    return fusion_of_simples(n, lams, _column_points(lam, points))
+
+
+def _column_points(lam, points):
+    """points as Fractions; None means default_points, one per column of
+    the dominant weight lam (one point for lam = 0)."""
     if points is None:
-        points = default_points(len(lams))
-    return fusion_of_simples(n, lams, points)
+        points = default_points(max(sum(lam), 1))
+    return tuple(Fraction(z) for z in points)
 
 
 def rect_demazure(n: int, ell: int, lam, points=None) -> GtModule:
@@ -84,16 +90,17 @@ def rect_demazure(n: int, ell: int, lam, points=None) -> GtModule:
     lam must be coordinatewise divisible by ell; with mu = lam/ell the
     module is the closure of the ell-fold tensor of generators inside
     local_weyl(mu)^{tensor ell}.  Level one is local_weyl(mu) itself;
-    a higher level is stored in module_store under (n, ell, lam, points).
+    a higher level is stored in module_store under (n, ell, lam, points)
+    with points resolved as local_weyl resolves them, so omitting the
+    default points and passing them give one module.
     """
     if ell < 1:
         raise ValueError("level must be positive")
     lam = integral_weight(lam)
     if any(c % ell for c in lam):
         raise ValueError("weight must be divisible by the level")
-    if points is not None:
-        points = tuple(Fraction(z) for z in points)
     mu = tuple(c // ell for c in lam)
+    points = _column_points(mu, points)
     if ell == 1:
         return local_weyl(n, mu, points)
 

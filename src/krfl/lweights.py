@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvariantError
-from .typea import Partition, Weight, zero_weight
+from .typea import Partition
 
 
 @dataclass(frozen=True, order=True)
@@ -118,23 +118,12 @@ def trivial_lweight(n: int) -> LWeight:
     return LWeight(n, {})
 
 
-def fundamental_lweight(n: int, i: int, z: int) -> LWeight:
-    return LWeight(n, {(i, z): 1})
-
-
 def kr_monomial(n: int, f: KRFactor) -> LWeight:
     """Expand the string: product of Y_{i, q^{center + length - 1 - 2j}}."""
     table = {}
     for z in f.exponents():
         table[(f.node, z)] = table.get((f.node, z), 0) + 1
     return LWeight(n, table)
-
-
-def weight_map(pi: LWeight) -> Weight:
-    out = list(zero_weight(pi.rank))
-    for (i, _), m in pi.mults.items():
-        out[i - 1] += m
-    return tuple(out)
 
 
 def _separated(f: KRFactor, g: KRFactor) -> bool:

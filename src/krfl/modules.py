@@ -738,9 +738,6 @@ class GradedCharacter:
     def __repr__(self):
         return f"GradedCharacter({self.rank}, {sorted(self.mults.items())})"
 
-    def total_dim(self):
-        return sum(self.mults.values())
-
     def degree_dims(self):
         out = {}
         for (_, d), k in self.mults.items():

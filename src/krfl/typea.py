@@ -101,16 +101,6 @@ def root_weight(n: int, a: int, b: int) -> Weight:
     return tuple(v)
 
 
-def highest_root(n: int) -> Weight:
-    return root_weight(n, 1, n)
-
-
-def pair_h_alpha(lam, root) -> int:
-    """lam(h_alpha) for a positive root given as an interval (a, b)."""
-    a, b = root
-    return sum(lam[a - 1 : b])
-
-
 def weight_add(lam, mu):
     return tuple(a + b for a, b in zip(lam, mu, strict=True))
 
@@ -176,13 +166,6 @@ def weyl_simple(n: int, i: int) -> WeylElt:
 def weyl_compose(p, q) -> WeylElt:
     """p∘q as maps, (p∘q)(k) = p(q(k))."""
     return tuple(p[q[k] - 1] for k in range(len(p)))
-
-
-def weyl_inverse(p) -> WeylElt:
-    out = [0] * len(p)
-    for k, v in enumerate(p):
-        out[v - 1] = k + 1
-    return tuple(out)
 
 
 def weyl_act(p, lam) -> Weight:

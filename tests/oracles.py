@@ -5,8 +5,9 @@ are counted as semistandard tableaux (Kostka numbers), graded fusion
 multiplicities at node 1 via charge on those tableaux (Kostka-Foulkes
 polynomials), graded fusion multiplicities at every node via the
 fermionic formula on rigged-configuration shapes, tensor product
-multiplicities via the Littlewood-Richardson rule on skew tableaux, and
-conjugate partitions by direct column counting.
+multiplicities via the Littlewood-Richardson rule on skew tableaux,
+conjugate partitions by direct column counting, and affine Weyl lengths
+by listing the negated positive affine roots.
 """
 
 from __future__ import annotations
@@ -409,3 +410,28 @@ def dominant_graded_character(n, multiplicities):
 @lru_cache(maxsize=None)
 def _kostka(lam, mu):
     return kostka_multiplicity(lam, mu)
+
+
+def affine_length_by_roots(w, mu):
+    """Length of t_mu ∘ w by listing the positive affine real roots it negates.
+
+    w is a permutation of 1..n+1 acting by eps_a -> eps_{w(a)}, and mu is an
+    integral weight in the fundamental weight basis, so its eps coordinates
+    are the tail sums mu_a + ... + mu_n (up to a common shift).  A positive
+    real root is alpha + k delta with alpha = eps_a - eps_b and k >= 0, or
+    k >= 1 when a > b; t_mu ∘ w sends it to w(alpha) + (k - (w(alpha), mu))
+    delta, which is negative when its delta coefficient is, or when that is
+    zero and w(alpha) is a negative root.  Only k <= |(w(alpha), mu)| can be
+    negated; the count runs two past that.
+    """
+    n = len(mu)
+    tail = [sum(mu[j:]) for j in range(n + 1)]
+    count = 0
+    for a, b in itertools.permutations(range(1, n + 2), 2):
+        wa, wb = w[a - 1], w[b - 1]
+        pairing = tail[wa - 1] - tail[wb - 1]
+        for k in range(0 if a < b else 1, abs(pairing) + 3):
+            image = k - pairing
+            if image < 0 or (image == 0 and wa > wb):
+                count += 1
+    return count

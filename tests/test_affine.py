@@ -1,122 +1,74 @@
 import random
-from fractions import Fraction
-
-import pytest
 
 from krfl.affine import (
-    AffineWeight,
     ExtAffineElt,
-    affine_fundamental,
-    affine_simple_root,
-    delta,
-    demazure_pair,
     ext_finite,
-    ext_identity,
-    ext_simple,
     ext_translation,
-    from_finite,
-    lambda0,
     length,
-    reflect,
-    translate,
 )
 from krfl.typea import (
-    fundamental_weight,
-    highest_root,
-    simple_root,
+    inner_product,
+    root_weight,
+    weight_add,
+    weyl_act,
+    weyl_compose,
     weyl_elements,
     weyl_identity,
+    weyl_simple,
     zero_weight,
 )
+
+import oracles
 
 
 def rand_weight(rng, n, lo=-3, hi=3):
     return tuple(rng.randint(lo, hi) for _ in range(n))
 
 
-def rand_affine(rng, n):
-    return AffineWeight(rand_weight(rng, n), rng.randint(0, 3), rng.randint(-2, 2))
+def rand_elt(rng, n):
+    return ExtAffineElt(rng.choice(weyl_elements(n)), rand_weight(rng, n))
 
 
-def test_translate_basepoint():
-    # t_{-alpha_1} Lambda_0 = Lambda_0 - alpha_1 - delta
-    n = 2
-    mu = tuple(-x for x in simple_root(n, 1))
-    out = translate(mu, lambda0(n))
-    assert out.finite == mu
-    assert out.level == 1
-    assert out.dcoef == -1
+def simple(n, i):
+    """s_i; s_0 = t_theta ∘ s_theta with theta = alpha_1 + ... + alpha_n."""
+    if i == 0:
+        p = list(weyl_identity(n))
+        p[0], p[n] = p[n], p[0]
+        return ExtAffineElt(tuple(p), root_weight(n, 1, n))
+    return ext_finite(weyl_simple(n, i))
 
 
-def test_translate_level_one():
-    out = translate((-2,), affine_fundamental(1, 1))
-    assert out.finite == (-1,)
-    assert out.level == 1
-    assert out.dcoef == 0
+def inverse(x):
+    """(t_mu ∘ w)^{-1} = t_{-w^{-1} mu} ∘ w^{-1}."""
+    n = x.rank
+    wi = next(v for v in weyl_elements(n) if weyl_compose(v, x.w) == weyl_identity(n))
+    return ExtAffineElt(wi, tuple(-c for c in weyl_act(wi, x.mu)))
 
 
-def test_translate_finite_weight():
-    # level 0: t_mu(lam) = lam - (lam, mu) delta
-    lam = from_finite((1, 0, 1))
-    out = translate((1, 0, 0), lam)
-    assert out.finite == lam.finite
-    assert out.level == 0
-    assert out.dcoef == -1  # (lam, mu) = 3/4 + 1/4
-
-
-def test_reflect_node_zero():
-    n = 3
-    out = reflect(0, lambda0(n))
-    want = lambda0(n).add(from_finite(highest_root(n))).add(delta(n).scale(-1))
-    assert out == want
-
-
-def test_reflect_fixes_orthogonal():
-    n = 2
-    L = affine_fundamental(n, 2)
-    assert reflect(1, L) == L
-
-
-def test_reflect_involution():
-    rng = random.Random(7)
-    for n in (1, 2, 3):
-        for _ in range(20):
-            L = rand_affine(rng, n)
-            for i in range(n + 1):
-                assert reflect(i, reflect(i, L)) == L
-
-
-def test_simple_matches_reflection():
-    rng = random.Random(11)
-    for n in (1, 2, 3):
-        for i in range(n + 1):
-            s = ext_simple(n, i)
-            for _ in range(10):
-                L = rand_affine(rng, n)
-                assert s.act(L) == reflect(i, L)
+def act(x, finite, level, dcoef):
+    """t_mu ∘ w on the affine weight finite + level Lambda_0 + dcoef delta:
+    t_mu(lam + l Lambda_0) = lam + l mu + l Lambda_0 - ((lam, mu) + l (mu, mu)/2) delta."""
+    lam = weyl_act(x.w, finite)
+    drop = inner_product(lam, x.mu) + level * inner_product(x.mu, x.mu) / 2
+    return weight_add(lam, tuple(level * c for c in x.mu)), level, dcoef - drop
 
 
 def test_group_action_homomorphism():
     rng = random.Random(13)
     for n in (1, 2, 3):
         for _ in range(15):
-            x = ExtAffineElt(
-                rng.choice(weyl_elements(n)), rand_weight(rng, n)
-            )
-            y = ExtAffineElt(
-                rng.choice(weyl_elements(n)), rand_weight(rng, n)
-            )
-            L = rand_affine(rng, n)
-            assert x.compose(y).act(L) == x.act(y.act(L))
-            assert x.compose(x.inverse()).is_identity()
-            assert x.inverse().act(x.act(L)) == L
+            x, y = rand_elt(rng, n), rand_elt(rng, n)
+            L = (rand_weight(rng, n), rng.randint(0, 3), rng.randint(-2, 2))
+            assert act(x.compose(y), *L) == act(x, *act(y, *L))
+            assert x.compose(inverse(x)) == ext_translation(zero_weight(n))
+            assert act(inverse(x), *act(x, *L)) == L
 
 
 def test_length_simple_reflections():
     for n in (1, 2, 3):
-        assert length(ext_identity(n)) == 0
+        assert length(ext_translation(zero_weight(n))) == 0
         for i in range(n + 1):
-            assert length(ext_simple(n, i)) == 1
+            assert length(simple(n, i)) == 1
 
 
 def test_length_translations_sl2():
@@ -126,7 +78,7 @@ def test_length_translations_sl2():
     # the length zero generator of the extended group mod the affine one
     sigma = ExtAffineElt((2, 1), (1,))
     assert length(sigma) == 0
-    assert sigma.compose(sigma).is_identity()
+    assert sigma.compose(sigma) == ext_translation((0,))
 
 
 def test_length_of_finite_part():
@@ -145,17 +97,17 @@ def test_length_inverse():
     rng = random.Random(17)
     for n in (1, 2, 3):
         for _ in range(25):
-            x = ExtAffineElt(rng.choice(weyl_elements(n)), rand_weight(rng, n))
-            assert length(x) == length(x.inverse())
+            x = rand_elt(rng, n)
+            assert length(x) == length(inverse(x))
 
 
 def test_length_simple_step():
     rng = random.Random(19)
     for n in (1, 2, 3):
         for _ in range(15):
-            x = ExtAffineElt(rng.choice(weyl_elements(n)), rand_weight(rng, n))
+            x = rand_elt(rng, n)
             for i in range(n + 1):
-                assert abs(length(ext_simple(n, i).compose(x)) - length(x)) == 1
+                assert abs(length(simple(n, i).compose(x)) - length(x)) == 1
 
 
 def test_translation_additivity():
@@ -172,94 +124,9 @@ def test_translation_additivity():
             assert length(both) == length(left) + length(right)
 
 
-def _bfs_word_length(start, target, n, cap):
-    """Shortest word in s_0..s_n taking start to target, working mod delta."""
-    def key(L):
-        return (L.finite, L.level)
-
-    frontier = {key(start)}
-    seen = set(frontier)
-    t = key(target)
-    for depth in range(cap + 1):
-        if t in frontier:
-            return depth
-        nxt = set()
-        for fin, lev in frontier:
-            L = AffineWeight(fin, lev, 0)
-            for i in range(n + 1):
-                k = key(reflect(i, L))
-                if k not in seen:
-                    seen.add(k)
-                    nxt.add(k)
-        frontier = nxt
-    return None
-
-
-@pytest.mark.parametrize(
-    "ell,lam,want_w,want_mu,want_finite",
-    [
-        (1, (1,), (2, 1), (0,), (1,)),
-        (2, (2,), (2, 1), (0,), (2,)),
-        (3, (0,), (1, 2), (0,), (0,)),
-        (1, (2,), (1, 2), (-2,), (0,)),
-        (1, (1, 0), (3, 1, 2), (0, 0), (1, 0)),
-    ],
-)
-def test_demazure_pair_values(ell, lam, want_w, want_mu, want_finite):
-    x, L = demazure_pair(ell, lam)
-    assert x.w == want_w and x.mu == want_mu
-    assert L.finite == want_finite
-    assert L.level == ell and L.dcoef == 0
-
-
-def test_demazure_pair_postconditions():
-    from krfl.typea import weyl_act, weyl_longest
-
-    for n in (1, 2, 3):
-        cases = []
-        for total in range(4):
-            for lam in _weights_of_total(n, total):
-                for ell in (1, 2):
-                    cases.append((ell, lam))
-        for ell, lam in cases:
-            x, L = demazure_pair(ell, lam)
-            assert L.is_dominant() and L.level == ell
-            target = AffineWeight(weyl_act(weyl_longest(n), lam), ell, 0)
-            assert x.act(L).eq_mod_delta(target)
-            if n == 1 or sum(lam) <= 2:
-                d = _bfs_word_length(L, target, n, length(x))
-                assert d == length(x)
-
-
-def _weights_of_total(n, total):
-    if n == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _weights_of_total(n - 1, total - first):
-            yield (first,) + rest
-
-
-def test_affine_weight_json_roundtrip():
-    L = AffineWeight((Fraction(1, 2), 3), Fraction(2), Fraction(-5, 4))
-    assert AffineWeight.from_json(L.to_json()) == L
-
-
-def test_pair_h_zero_node():
-    L = AffineWeight((1, 0, 2), 5, 0)
-    assert L.pair_h(0) == 2
-    assert L.pair_h(1) == 1 and L.pair_h(3) == 2
-
-
-def test_affine_simple_root_zero():
-    n = 2
-    a0 = affine_simple_root(n, 0)
-    assert a0.finite == (-1, -1) and a0.level == 0 and a0.dcoef == 1
-    assert lambda0(n).pair_h(0) == 1
-
-
-def test_demazure_pair_rejects_bad_input():
-    with pytest.raises(ValueError):
-        demazure_pair(0, (1,))
-    with pytest.raises(ValueError):
-        demazure_pair(1, (-1,))
+def test_length_matches_root_count():
+    rng = random.Random(29)
+    for n in (1, 2, 3, 4):
+        for _ in range(300):
+            x = rand_elt(rng, n)
+            assert length(x) == oracles.affine_length_by_roots(x.w, x.mu)

@@ -8,13 +8,11 @@ from krfl.lweights import (
     LWeight,
     blocks_cyclic,
     cyclic_order_ok,
-    fundamental_lweight,
     kr_monomial,
     pi_blocks,
     pi_from_partition,
     q_factorize,
     trivial_lweight,
-    weight_map,
 )
 from krfl.typea import Partition, partitions_of
 
@@ -23,7 +21,7 @@ from oracles import all_q_string_groupings
 
 def test_kr_monomial_expansion():
     assert kr_monomial(1, KRFactor(1, 1, 2)) == LWeight(1, {(1, 2): 1, (1, 0): 1})
-    assert kr_monomial(2, KRFactor(1, 5, 1)) == fundamental_lweight(2, 1, 5)
+    assert kr_monomial(2, KRFactor(1, 5, 1)) == LWeight(2, {(1, 5): 1})
     assert kr_monomial(2, KRFactor(2, 0, 3)) == LWeight(
         2, {(2, 2): 1, (2, 0): 1, (2, -2): 1}
     )
@@ -34,49 +32,18 @@ def test_kr_monomial_rejects_empty():
         KRFactor(1, 0, 0)
 
 
-def test_weight_map():
-    pi = LWeight(2, {(1, 2): 1, (1, 0): 2})
-    assert weight_map(pi) == (3, 0)
-    assert weight_map(trivial_lweight(3)) == (0, 0, 0)
-    for m in range(1, 5):
-        assert weight_map(kr_monomial(3, KRFactor(2, 1, m))) == (0, m, 0)
-
-
-def test_weight_map_homomorphism():
-    rng = random.Random(3)
-    for _ in range(20):
-        n = rng.randint(1, 3)
-        a = LWeight(
-            n,
-            {
-                (rng.randint(1, n), rng.randint(-4, 4)): rng.randint(1, 3)
-                for _ in range(3)
-            },
-        )
-        b = LWeight(
-            n,
-            {
-                (rng.randint(1, n), rng.randint(-4, 4)): rng.randint(1, 3)
-                for _ in range(3)
-            },
-        )
-        assert weight_map(a.times(b)) == tuple(
-            x + y for x, y in zip(weight_map(a), weight_map(b))
-        )
-
-
 def test_q_factorize_merges_adjacent():
-    pi = fundamental_lweight(1, 1, 0).times(fundamental_lweight(1, 1, 2))
+    pi = LWeight(1, {(1, 0): 1}).times(LWeight(1, {(1, 2): 1}))
     assert q_factorize(pi) == [KRFactor(1, 1, 2)]
 
 
 def test_q_factorize_keeps_separated_singletons():
-    pi = fundamental_lweight(1, 1, 0).times(fundamental_lweight(1, 1, 4))
+    pi = LWeight(1, {(1, 0): 1}).times(LWeight(1, {(1, 4): 1}))
     assert q_factorize(pi) == [KRFactor(1, 4, 1), KRFactor(1, 0, 1)]
 
 
 def test_q_factorize_single_fundamental():
-    assert q_factorize(fundamental_lweight(3, 2, -5)) == [KRFactor(2, -5, 1)]
+    assert q_factorize(LWeight(3, {(2, -5): 1})) == [KRFactor(2, -5, 1)]
 
 
 def test_q_factorize_repeated_string():
@@ -145,7 +112,7 @@ def test_q_factorize_unique_by_enumeration():
         exps = [2 * rng.randint(-2, 2) for _ in range(rng.randint(1, 5))]
         pi = LWeight(1, {})
         for z in exps:
-            pi = pi.times(fundamental_lweight(1, 1, z))
+            pi = pi.times(LWeight(1, {(1, z): 1}))
         found = q_factorize(pi)
         groupings = set()
         for g in all_q_string_groupings(exps):

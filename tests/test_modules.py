@@ -335,7 +335,7 @@ class TestFusion:
         m = fusion_product(1, 1, (2, 1))
         gc = graded_character(m)
         assert gc.degree_dims() == {0: 4, 1: 2}
-        assert gc.total_dim() == 6
+        assert sum(gc.mults.values()) == 6
 
     def test_single_factor_sits_in_degree_zero(self):
         m = fusion_product(2, 1, (3,))
@@ -365,7 +365,7 @@ class TestFusion:
         lams = [(1, 1), (1, 0)]
         m = fusion_of_simples(2, lams, (0, 1))
         gc = graded_character(m)
-        assert gc.total_dim() == weyl_dim((1, 1)) * weyl_dim((1, 0))
+        assert sum(gc.mults.values()) == weyl_dim((1, 1)) * weyl_dim((1, 0))
         assert gc.collapse() == char_simple((1, 1)) * char_simple((1, 0))
         assert check_axioms(m) == []
 
@@ -541,6 +541,11 @@ class TestModuleStore:
             assert fusion_product(n, i, (1,) * k) is m
             assert rect_demazure(n, 1, lam) is m
             assert gen_demazure(n, i, (k,)) is m
+
+    def test_default_points_are_resolved_before_the_key(self):
+        cases = [(1, 2, (2,), (0,)), (2, 2, (2, 2), (0, 1)), (2, 3, (0, 0), (0,))]
+        for n, ell, lam, points in cases:
+            assert rect_demazure(n, ell, lam) is rect_demazure(n, ell, lam, points)
 
     def test_sweep_stays_within_budget_plus_newest_module(self):
         module_store.cache_clear()
@@ -881,6 +886,6 @@ class TestCrossChecks:
     def test_sl3_fusion_weight_space_dims(self):
         m = fusion_product(2, 1, (1, 1))
         gc = graded_character(m)
-        assert gc.total_dim() == 9
+        assert sum(gc.mults.values()) == 9
         assert gc.collapse() == char_simple((1, 0)) * char_simple((1, 0))
         assert gc.degree_slice(0) == char_simple((2, 0))

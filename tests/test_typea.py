@@ -8,9 +8,7 @@ from krfl.typea import (
     char_simple,
     dominant_rep,
     fundamental_weight,
-    highest_root,
     inner_product,
-    pair_h_alpha,
     partitions_of,
     positive_roots,
     root_weight,
@@ -23,7 +21,6 @@ from krfl.typea import (
     weyl_compose,
     weyl_dim,
     weyl_elements,
-    weyl_inverse,
     weyl_longest,
     weyl_simple,
     zero_weight,
@@ -41,8 +38,8 @@ def test_inner_product_sl2():
 
 def test_roots_and_theta():
     assert simple_root(3, 2) == (-1, 2, -1)
-    assert highest_root(3) == (1, 0, 1)
-    assert highest_root(1) == (2,)
+    assert root_weight(3, 1, 3) == (1, 0, 1)
+    assert root_weight(1, 1, 1) == (2,)
     for n in (1, 2, 3):
         for a, b in positive_roots(n):
             alpha = root_weight(n, a, b)
@@ -51,14 +48,6 @@ def test_roots_and_theta():
             for i in range(1, n + 1):
                 expected = 1 if a <= i <= b else 0
                 assert inner_product(fundamental_weight(n, i), alpha) == expected
-
-
-def test_pair_h_alpha_matches_inner_product():
-    for n in (1, 2, 3):
-        lam = tuple(range(1, n + 1))
-        for root in positive_roots(n):
-            alpha = root_weight(n, *root)
-            assert pair_h_alpha(lam, root) == inner_product(lam, alpha)
 
 
 def test_weyl_longest_negates_and_flips():
@@ -78,7 +67,9 @@ def test_weyl_action_is_orthogonal_and_composes():
         assert inner_product(weyl_act(w, lam), weyl_act(w, mu)) == inner_product(
             lam, mu
         )
-        assert weyl_act(weyl_inverse(w), weyl_act(w, lam)) == lam
+        inverse = tuple(sorted(range(1, n + 2), key=lambda k: w[k - 1]))
+        assert weyl_compose(inverse, w) == tuple(range(1, n + 2))
+        assert weyl_act(inverse, weyl_act(w, lam)) == lam
     s1, s2 = weyl_simple(n, 1), weyl_simple(n, 2)
     assert weyl_act(weyl_compose(s1, s2), lam) == weyl_act(s1, weyl_act(s2, lam))
 
