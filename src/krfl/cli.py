@@ -37,67 +37,34 @@ def _frac_tuple(text):
         raise argparse.ArgumentTypeError(f"expected comma-separated rationals: {text!r}")
 
 
-def _print_table(rows, header, out):
-    widths = [len(h) for h in header]
-    cells = [[str(c) for c in row] for row in rows]
-    for row in cells:
-        widths = [max(w, len(c)) for w, c in zip(widths, row)]
-    fmt = "  ".join(f"{{:<{w}}}" for w in widths)
-    print(fmt.format(*header), file=out)
-    for row in cells:
-        print(fmt.format(*row), file=out)
-
-
-def _emit_graded(gc, fmt, out):
-    data = gc.to_json()
+def _emit(fmt, out, data, header, rows):
+    """Write data as indented JSON, or header and rows as CSV or an aligned
+    table.  Only CSV and table read rows, so a generator costs the JSON
+    path nothing.  In CSV a tuple cell (a weight) is space-separated."""
     if fmt == "json":
         json.dump(data, out, indent=2)
         out.write("\n")
     elif fmt == "csv":
         w = csv.writer(out)
-        w.writerow(["weight", "degree", "mult"])
-        for e in data["entries"]:
-            w.writerow([" ".join(map(str, e["weight"])), e["degree"], e["mult"]])
+        w.writerow(header)
+        w.writerows(
+            [" ".join(map(str, c)) if isinstance(c, tuple) else c for c in row]
+            for row in rows
+        )
     else:
-        rows = [
-            (tuple(e["weight"]), e["degree"], e["mult"]) for e in data["entries"]
-        ]
-        _print_table(rows, ("weight", "degree", "mult"), out)
+        cells = [[str(c) for c in row] for row in rows]
+        widths = [len(h) for h in header]
+        for row in cells:
+            widths = [max(w, len(c)) for w, c in zip(widths, row)]
+        line = "  ".join(f"{{:<{w}}}" for w in widths)
+        for row in [header, *cells]:
+            print(line.format(*row), file=out)
 
 
-def _emit_plain_character(ch, fmt, out):
-    data = ch.to_json()
-    if fmt == "json":
-        json.dump(data, out, indent=2)
-        out.write("\n")
-    elif fmt == "csv":
-        w = csv.writer(out)
-        w.writerow(["weight", "mult"])
-        for e in data["entries"]:
-            w.writerow([" ".join(map(str, e["weight"])), e["mult"]])
-    else:
-        rows = [(tuple(e["weight"]), e["mult"]) for e in data["entries"]]
-        _print_table(rows, ("weight", "mult"), out)
-
-
-def _emit_reports(reports, fmt, out):
-    if fmt == "json":
-        json.dump([r.to_json() for r in reports], out, indent=2)
-        out.write("\n")
-    elif fmt == "csv":
-        w = csv.writer(out)
-        w.writerow(["name", "status", "params", "details"])
-        for r in reports:
-            w.writerow(
-                [r.name, r.status, json.dumps(r.params), json.dumps(r.details)]
-            )
-    else:
-        rows = []
-        for r in reports:
-            ps = " ".join(f"{k}={v}" for k, v in r.params.items())
-            note = "" if not r.details else r.details[0]["check"]
-            rows.append((r.status, r.name, ps, note))
-        _print_table(rows, ("status", "name", "params", "note"), out)
+def _entry_rows(entries, header):
+    """The header's fields of each JSON entry, a list (a weight) as a tuple."""
+    for e in entries:
+        yield [tuple(e[h]) if isinstance(e[h], list) else e[h] for h in header]
 
 
 def _validated_weight(rank, weight):
@@ -107,8 +74,22 @@ def _validated_weight(rank, weight):
 
 
 def _cmd_char(args, out):
-    lam = _validated_weight(args.rank, args.weight)
-    _emit_plain_character(char_simple(lam), args.format, out)
+    data = char_simple(_validated_weight(args.rank, args.weight)).to_json()
+    header = ("weight", "mult")
+    _emit(args.format, out, data, header, _entry_rows(data["entries"], header))
+    return 0
+
+
+def _cmd_graded(args, out, kind, build, **fields):
+    """The graded character of build(), through the on-disk cache under
+    the descriptor of kind, rank and fields."""
+    desc = {"kind": kind, "rank": args.rank, **fields}
+    gc = cached_character(
+        desc, lambda: graded_character(build()), enabled=not args.no_cache
+    )
+    data = gc.to_json()
+    header = ("weight", "degree", "mult")
+    _emit(args.format, out, data, header, _entry_rows(data["entries"], header))
     return 0
 
 
@@ -126,57 +107,34 @@ def _canonical_fusion(parts, points):
 def _cmd_fusion(args, out):
     parts, points = _canonical_fusion(args.partition, args.points)
     Partition(parts)  # rejects a zero or negative part
-    desc = {
-        "kind": "fusion",
-        "rank": args.rank,
-        "node": args.node,
-        "xi": list(parts),
-        "points": None if points is None else [str(z) for z in points],
-    }
-    gc = cached_character(
-        desc,
-        lambda: graded_character(
-            fusion_product(args.rank, args.node, parts, points)
-        ),
-        enabled=not args.no_cache,
+    return _cmd_graded(
+        args, out, "fusion",
+        lambda: fusion_product(args.rank, args.node, parts, points),
+        node=args.node,
+        xi=list(parts),
+        points=None if points is None else [str(z) for z in points],
     )
-    _emit_graded(gc, args.format, out)
-    return 0
 
 
 def _cmd_demazure(args, out):
     lam = _validated_weight(args.rank, args.lam)
-    desc = {
-        "kind": "rectangular-demazure",
-        "rank": args.rank,
-        "ell": args.ell,
-        "lam": list(lam),
-    }
-    gc = cached_character(
-        desc,
-        lambda: graded_character(rect_demazure(args.rank, args.ell, lam)),
-        enabled=not args.no_cache,
+    return _cmd_graded(
+        args, out, "rectangular-demazure",
+        lambda: rect_demazure(args.rank, args.ell, lam),
+        ell=args.ell,
+        lam=list(lam),
     )
-    _emit_graded(gc, args.format, out)
-    return 0
 
 
 def _cmd_gendemazure(args, out):
     # descending, as Partition requires; `1,2` and `2,1` share an entry
     parts = tuple(sorted(args.partition, reverse=True))
-    desc = {
-        "kind": "generalized-demazure",
-        "rank": args.rank,
-        "node": args.node,
-        "xi": list(parts),
-    }
-    gc = cached_character(
-        desc,
-        lambda: graded_character(gen_demazure(args.rank, args.node, parts)),
-        enabled=not args.no_cache,
+    return _cmd_graded(
+        args, out, "generalized-demazure",
+        lambda: gen_demazure(args.rank, args.node, parts),
+        node=args.node,
+        xi=list(parts),
     )
-    _emit_graded(gc, args.format, out)
-    return 0
 
 
 def _cmd_qfactor(args, out):
@@ -189,19 +147,9 @@ def _cmd_qfactor(args, out):
         except OSError as exc:
             raise ValueError(f"cannot read {args.file}: {exc.strerror}") from exc
     pi = LWeight.from_json(args.rank, json.loads(text))
-    factors = q_factorize(pi)
-    data = [f.to_json() for f in factors]
-    if args.format == "json":
-        json.dump(data, out, indent=2)
-        out.write("\n")
-    elif args.format == "csv":
-        w = csv.writer(out)
-        w.writerow(["node", "center", "len"])
-        for e in data:
-            w.writerow([e["node"], e["center"], e["len"]])
-    else:
-        rows = [(e["node"], e["center"], e["len"]) for e in data]
-        _print_table(rows, ("node", "center", "len"), out)
+    data = [f.to_json() for f in q_factorize(pi)]
+    header = ("node", "center", "len")
+    _emit(args.format, out, data, header, _entry_rows(data, header))
     return 0
 
 
@@ -211,11 +159,34 @@ def _at_least_one(**options):
             raise ValueError(f"--{name.replace('_', '-')} must be at least 1, got {value}")
 
 
+def _cmd_reports(args, out, reports):
+    """Reports as JSON, as CSV with params and details as JSON cells, or
+    as a table noting the first witness; exit 1 if any failed."""
+    if args.format == "csv":
+        header = ("name", "status", "params", "details")
+        rows = (
+            (r.name, r.status, json.dumps(r.params), json.dumps(r.details))
+            for r in reports
+        )
+    else:
+        header = ("status", "name", "params", "note")
+        rows = (
+            (
+                r.status,
+                r.name,
+                " ".join(f"{k}={v}" for k, v in r.params.items()),
+                r.details[0]["check"] if r.details else "",
+            )
+            for r in reports
+        )
+    _emit(args.format, out, [r.to_json() for r in reports], header, rows)
+    return 0 if suite_ok(reports) else 1
+
+
 def _cmd_verify_main(args, out):
     _at_least_one(cap=args.cap)
     r = verify_main(args.rank, args.node, args.partition, args.points, cap=args.cap)
-    _emit_reports([r], args.format, out)
-    return 0 if not r.failed else 1
+    return _cmd_reports(args, out, [r])
 
 
 def _cmd_verify_suite(args, out):
@@ -223,8 +194,7 @@ def _cmd_verify_suite(args, out):
     reports = verify_suite(
         max_rank=args.max_rank, max_size=args.max_size, seed=args.seed, cap=args.cap
     )
-    _emit_reports(reports, args.format, out)
-    return 0 if suite_ok(reports) else 1
+    return _cmd_reports(args, out, reports)
 
 
 def _add_format(p):

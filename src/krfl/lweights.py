@@ -33,10 +33,6 @@ class KRFactor:
     def to_json(self):
         return {"node": self.node, "center": self.center, "len": self.length}
 
-    @staticmethod
-    def from_json(data) -> "KRFactor":
-        return KRFactor(int(data["node"]), int(data["center"]), int(data["len"]))
-
 
 class LWeight:
     """Finitely supported map (node, exponent) -> positive multiplicity."""

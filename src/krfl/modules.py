@@ -336,13 +336,6 @@ class GtModule:
     def top_degree(self):
         return max(self.degrees) if self.degrees else 0
 
-    def character(self) -> Character:
-        """Weight multiplicities, forgetting the grading if there is one."""
-        out = {}
-        for w in self.weights:
-            out[w] = out.get(w, 0) + 1
-        return Character(out)
-
     def _acts_by_zero(self, k):
         """Whether t^k acts by zero; raises if the module cannot produce it."""
         if k < 0:
@@ -694,6 +687,8 @@ def fusion_of_simples(n, lams, points) -> GtModule:
     built once per (n, lams, points) while module_store keeps it."""
     lams = tuple(integral_weight(lam) for lam in lams)
     points = tuple(Fraction(z) for z in points)
+    if not lams:
+        raise ValueError("at least one factor required")
     if len(points) != len(lams):
         raise ValueError("one point per factor required")
     if len(set(points)) != len(points):

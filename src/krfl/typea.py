@@ -385,9 +385,6 @@ class Partition:
     def __iter__(self):
         return iter(self.parts)
 
-    def size(self) -> int:
-        return sum(self.parts)
-
     def rle(self):
         """Run-length form ((m_1, b_1), ..., (m_s, b_s)) with m_1 < ... < m_s."""
         counts = {}

@@ -75,11 +75,21 @@ def _witness(check, expected, got):
     return {"check": check, "expected": expected, "got": got}
 
 
+def _cap_skip(ambient, cap):
+    """The witness of a check skipped because its ambient dimension is
+    above cap, or None when the ambient fits."""
+    if ambient > cap:
+        return _witness("ambient dimension cap", f"<= {cap}", ambient)
+    return None
+
+
 def _params(n, i=None, xi=None, **extra):
     out = {"rank": n}
     if i is not None:
         out["node"] = i
     if xi is not None:
+        if not xi:
+            raise ValueError("xi must have at least one part")
         out["xi"] = list(xi)
     out.update(extra)
     return out
@@ -115,14 +125,9 @@ def verify_main(n, i, xi, points=None, cap=DEFAULT_CAP) -> Report:
     params = _params(n, i, xi)
     if points is not None:
         params["points"] = [str(z) for z in points]
-    amb = max(_fusion_ambient(n, i, xi), *_gen_ambients(n, i, xi))
-    if amb > cap:
-        return Report(
-            "main-isomorphism",
-            params,
-            "skip",
-            [_witness("ambient dimension cap", f"<= {cap}", amb)],
-        )
+    skip = _cap_skip(max(_fusion_ambient(n, i, xi), *_gen_ambients(n, i, xi)), cap)
+    if skip:
+        return Report("main-isomorphism", params, "skip", [skip])
     fus = fusion_product(n, i, xi, points)
     gd = gen_demazure(n, i, Partition(xi).conjugate())
     details = []
@@ -149,10 +154,10 @@ def verify_dim(n, i, xi, cap=DEFAULT_CAP) -> Report:
     skipped = False
     for _, kr, count in pi_blocks(n, i, Partition(xi)):
         ell = kr.length
-        ambient = comb(n + 1, i) ** (ell * count)
-        if ambient > cap:
+        skip = _cap_skip(comb(n + 1, i) ** (ell * count), cap)
+        if skip:
             skipped = True
-            details.append(_witness("ambient dimension cap", f"<= {cap}", ambient))
+            details.append(skip)
             continue
         lam = weight_scale(ell * count, fundamental_weight(n, i))
         got = rect_demazure(n, ell, lam).dim
@@ -190,13 +195,9 @@ def verify_point_independence(n, i, xi, trials=3, seed=0, cap=DEFAULT_CAP) -> Re
     rng = random.Random(seed)
     sets = [tuple(rng.sample(range(-9, 10), len(xi))) for _ in range(trials)]
     params = _params(n, i, xi, seed=seed, point_sets=[list(s) for s in sets])
-    if _fusion_ambient(n, i, xi) > cap:
-        return Report(
-            "point-independence",
-            params,
-            "skip",
-            [_witness("ambient dimension cap", f"<= {cap}", _fusion_ambient(n, i, xi))],
-        )
+    skip = _cap_skip(_fusion_ambient(n, i, xi), cap)
+    if skip:
+        return Report("point-independence", params, "skip", [skip])
     chars = [graded_character(fusion_product(n, i, xi, pts)) for pts in sets]
     details = []
     for pts, gc in zip(sets[1:], chars[1:]):

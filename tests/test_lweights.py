@@ -202,8 +202,6 @@ def test_blocks_cyclic_sweep():
 def test_lweight_json_round_trip():
     pi = LWeight(3, {(1, -2): 2, (3, 5): 1})
     assert LWeight.from_json(3, pi.to_json()) == pi
-    f = KRFactor(2, -1, 4)
-    assert KRFactor.from_json(f.to_json()) == f
 
 
 def test_lweight_rejects_bad_input():

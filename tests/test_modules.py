@@ -72,7 +72,7 @@ class TestFundamental:
     def test_sl4_second_node_is_wedge_square(self):
         m = fundamental_gmodule(3, 2)
         assert m.dim == 6
-        assert m.character() == char_simple((0, 1, 0))
+        assert Character(Counter(m.weights)) == char_simple((0, 1, 0))
         assert check_axioms(m) == []
 
     @pytest.mark.parametrize("n,i", [(1, 1), (2, 1), (2, 2), (3, 1), (3, 3), (4, 2)])
@@ -80,7 +80,7 @@ class TestFundamental:
         m = fundamental_gmodule(n, i)
         lam = fundamental_weight(n, i)
         assert m.dim == weyl_dim(lam)
-        assert m.character() == char_simple(lam)
+        assert Character(Counter(m.weights)) == char_simple(lam)
         assert m.weights[m.cyclic_index] == lam
 
     def test_node_out_of_range(self):
@@ -98,7 +98,7 @@ class TestSimple:
     def test_sl4_two_omega2(self):
         m = simple_gmodule(3, (0, 2, 0))
         assert m.dim == 20
-        assert m.character() == char_simple((0, 2, 0))
+        assert Character(Counter(m.weights)) == char_simple((0, 2, 0))
 
     def test_trivial(self):
         m = simple_gmodule(2, (0, 0))
@@ -113,7 +113,7 @@ class TestSimple:
     def test_dimension_and_character(self, n, lam):
         m = simple_gmodule(n, lam)
         assert m.dim == weyl_dim(lam)
-        assert m.character() == char_simple(lam)
+        assert Character(Counter(m.weights)) == char_simple(lam)
         assert check_axioms(m) == []
 
     def test_top_vector_is_singular(self):
@@ -143,7 +143,9 @@ class TestGTensor:
         b = fundamental_gmodule(2, 2)
         t = tensor_gmodules([a, b])
         assert t.dim == 9
-        assert t.character() == a.character() * b.character()
+        assert Character(Counter(t.weights)) == (
+            Character(Counter(a.weights)) * Character(Counter(b.weights))
+        )
         assert check_axioms(t) == []
 
     def test_rank_mismatch(self):
@@ -528,7 +530,7 @@ class TestReferenceClosure:
             collapsed = Counter()
             for (wt, _), c in want.items():
                 collapsed[wt] += c
-            assert out.character() == Character(collapsed)
+            assert Character(Counter(out.weights)) == Character(collapsed)
         if route.endswith("non_highest"):
             assert any(borel for *_, borel in seen)
 

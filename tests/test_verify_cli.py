@@ -6,7 +6,7 @@ import krfl.cli
 import krfl.verify
 from krfl import InvariantError
 from krfl.cli import main
-from krfl.modules import fusion_product, graded_character
+from krfl.modules import fusion_of_simples, fusion_product, graded_character
 from krfl.verify import (
     Report,
     suite_ok,
@@ -106,6 +106,24 @@ class TestVerifyPoints:
     def test_too_few_trials(self):
         with pytest.raises(ValueError):
             verify_point_independence(1, 1, (1, 1), trials=1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: fusion_of_simples(2, [], []),
+        lambda: fusion_product(2, 1, ()),
+        lambda: verify_main(2, 1, ()),
+        lambda: verify_point_independence(2, 1, ()),
+        lambda: verify_dim(2, 1, ()),
+        lambda: verify_blocks(2, 1, ()),
+    ],
+    ids=["fusion_of_simples", "fusion_product", "verify_main",
+         "verify_point_independence", "verify_dim", "verify_blocks"],
+)
+def test_empty_partition_is_rejected(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 class TestVerifyLength:
