@@ -118,17 +118,22 @@ def gen_demazure(n: int, i: int, xi) -> GtModule:
     factor each: a block of b parts of size m contributes the level-b
     module with highest weight b*m*omega_i.
     """
-    xi = xi if isinstance(xi, Partition) else Partition(xi)
-    if not xi.parts:
-        raise ValueError("partition must be nonempty")
     omega = fundamental_weight(n, i)
     factors = [
-        rect_demazure(n, b, weight_scale(b * m, omega)) for m, b in xi.rle()
+        rect_demazure(n, b, weight_scale(b * m, omega))
+        for m, b in _nonempty(xi).rle()
     ]
     if len(factors) == 1:
         return factors[0]
     amb = tensor_modules(factors)
     return cyclic_submodule(amb, {amb.cyclic_index: ONE})
+
+
+def _nonempty(xi) -> Partition:
+    xi = Partition(xi)
+    if not xi.parts:
+        raise ValueError("partition must be nonempty")
+    return xi
 
 
 def level_exponents(ell: int, pairing: int):
@@ -236,7 +241,7 @@ def check_gradrel_relations(m: GtModule, vec, i: int, xi) -> list:
     the mixed words (raise at t)^s (lower)^{r+s}, r, s <= |xi| + 1,
     vanish on the pairs gradrel_required selects, in walk order.
     """
-    parts = Partition(xi).parts
+    parts = _nonempty(xi).parts
     bound = sum(parts) + 1
     lam = weight_scale(sum(parts), fundamental_weight(m.rank, i))
     report, placed = _highest_weight_report(m, vec, lam)
@@ -260,7 +265,7 @@ def find_nonrelation_witness(m: GtModule, vec, i: int, xi):
     for the first pair that gradrel_required leaves out.  A witness
     shows the required family is sharp.
     """
-    parts = Partition(xi).parts
+    parts = _nonempty(xi).parts
     for root, r, s, _ in _mixed_words(m, vec, i, sum(parts), sum(parts)):
         if not gradrel_required(r, s, parts):
             return root, r, s

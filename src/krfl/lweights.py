@@ -16,6 +16,16 @@ from .errors import InvariantError
 from .typea import Partition
 
 
+def _integer(x, what) -> int:
+    """x as an int; ValueError unless x is integral (2.0 is, 0.5 and inf are not)."""
+    try:
+        if int(x) == x:
+            return int(x)
+    except (OverflowError, TypeError, ValueError):
+        pass
+    raise ValueError(f"{what} must be an integer, got {x!r}")
+
+
 @dataclass(frozen=True, order=True)
 class KRFactor:
     node: int
@@ -23,6 +33,8 @@ class KRFactor:
     length: int
 
     def __post_init__(self):
+        for name in ("node", "center", "length"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.length < 1:
             raise ValueError("length must be positive")
 
@@ -43,12 +55,13 @@ class LWeight:
         table = {}
         for key, m in (mults or {}).items():
             i, z = key
+            i, z = _integer(i, "node"), _integer(z, "exponent")
             if not 1 <= i <= rank:
                 raise ValueError("node out of range")
-            if int(m) != m or m < 0:
+            if _integer(m, "multiplicity") < 0:
                 raise ValueError("multiplicities must be non-negative integers")
             if m:
-                table[(i, int(z))] = int(m)
+                table[(i, z)] = int(m)
         self.rank = rank
         self.mults = table
 

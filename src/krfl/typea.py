@@ -256,46 +256,39 @@ class Character:
         return {"rank": n, "entries": entries}
 
 
-def _expand_in_simple_roots(n, v):
-    """Coordinates of a weight in the simple root basis (Fractions)."""
-    g = gram_matrix(n)
-    return tuple(
-        sum((g[i][j] * v[j] for j in range(n)), Fraction(0)) for i in range(n)
-    )
-
-
-def _weight_set(lam):
-    """All weights of V(lam): mu with dominant_rep(mu) <= lam in the root order.
-
-    BFS along single simple root steps starting from lam reaches every
-    weight, since any weight below the highest one has some mu + alpha_i
-    still a weight.
-    """
-    n = rank_of(lam)
-    roots = [simple_root(n, i) for i in range(1, n + 1)]
-
-    def admissible(mu):
-        diff = weight_sub(lam, dominant_rep(mu))
-        ks = _expand_in_simple_roots(n, diff)
-        return all(k.denominator == 1 and k >= 0 for k in ks)
-
-    seen = {lam}
-    frontier = [lam]
-    while frontier:
-        nxt = []
-        for mu in frontier:
-            for alpha in roots:
-                cand = weight_sub(mu, alpha)
-                if cand not in seen and admissible(cand):
-                    seen.add(cand)
-                    nxt.append(cand)
-        frontier = nxt
+def _reach(start, steps):
+    """Every weight reached from start by repeatedly taking steps(weight)."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for nu in steps(stack.pop()):
+            if nu not in seen:
+                seen.add(nu)
+                stack.append(nu)
     return seen
+
+
+def _orbit(mu):
+    """The W-orbit of the dominant weight mu: from mu, apply s_i wherever
+    the current weight has a positive i-th coordinate."""
+    n = len(mu)
+    return _reach(mu, lambda nu: (
+        weight_sub(nu, weight_scale(c, simple_root(n, i)))
+        for i, c in enumerate(nu, 1) if c > 0
+    ))
 
 
 @lru_cache(maxsize=None)
 def char_simple(lam) -> Character:
     """Character of V(lam) by the Freudenthal multiplicity recursion.
+
+    Multiplicities are W-invariant, so the recursion runs over the
+    dominant weights only, each below lam in the root order.  In type A
+    a cover between dominant weights moves one box, which is one
+    positive root, so subtracting positive roots from lam without
+    leaving the dominant chamber reaches all of them.  Inside the
+    recursion m(nu) is read as m(dominant_rep(nu)), and each dominant
+    multiplicity then spreads over its orbit.
 
     Exact rational arithmetic throughout; multiplicities are asserted to
     come out as positive integers.  An independent tableau-counting oracle
@@ -305,14 +298,16 @@ def char_simple(lam) -> Character:
     n = rank_of(lam)
     if not is_dominant(lam):
         raise ValueError("weight must be dominant")
-    weights = _weight_set(lam)
+    roots = [root_weight(n, a, b) for a, b in positive_roots(n)]
+    dominant = _reach(
+        lam, lambda mu: filter(is_dominant, (weight_sub(mu, a) for a in roots))
+    )
     rho_w = rho(n)
     lam_rho = weight_add(lam, rho_w)
     norm_top = inner_product(lam_rho, lam_rho)
-    roots = [root_weight(n, a, b) for a, b in positive_roots(n)]
 
-    # Process by decreasing height so every mu + k*alpha is already done.
-    order = sorted(weights, key=lambda mu: inner_product(mu, rho_w), reverse=True)
+    # Process by decreasing height so every dominant_rep(mu + k*alpha) is done.
+    order = sorted(dominant, key=lambda mu: inner_product(mu, rho_w), reverse=True)
     mult = {}
     for mu in order:
         if mu == lam:
@@ -320,12 +315,10 @@ def char_simple(lam) -> Character:
             continue
         num = Fraction(0)
         for alpha in roots:
-            nu = mu
-            while True:
+            nu = weight_add(mu, alpha)
+            while (top := dominant_rep(nu)) in dominant:
+                num += mult[top] * inner_product(nu, alpha)
                 nu = weight_add(nu, alpha)
-                if nu not in weights:
-                    break
-                num += mult[nu] * inner_product(nu, alpha)
         mu_rho = weight_add(mu, rho_w)
         den = norm_top - inner_product(mu_rho, mu_rho)
         if den <= 0:
@@ -334,7 +327,7 @@ def char_simple(lam) -> Character:
         if m.denominator != 1 or m < 1:
             raise InvariantError("Freudenthal multiplicity is not a positive integer")
         mult[mu] = int(m)
-    ch = Character(mult)
+    ch = Character({w: m for mu, m in mult.items() for w in _orbit(mu)})
     if ch.mass() != weyl_dim(lam):
         raise InvariantError("character mass differs from the Weyl dimension")
     return ch
@@ -392,33 +385,12 @@ class Partition:
             counts[x] = counts.get(x, 0) + 1
         return tuple(sorted(counts.items()))
 
-    @staticmethod
-    def from_rle(rle) -> "Partition":
-        parts = []
-        for value, count in sorted(rle, reverse=True):
-            parts.extend([value] * count)
-        return Partition(tuple(parts))
-
     def conjugate(self) -> "Partition":
-        """Transpose of the diagram, computed on the run-length form.
-
-        With rle m_1^{b_1} ... m_s^{b_s} the conjugate is
-        n_1^{l_1} ... n_s^{l_s} where n_j counts the rows of length at
-        least m_{s-j+1} and l_j = m_{s-j+1} - m_{s-j} (with m_0 = 0).
-        The direct column-count is an oracle in the tests.
-        """
-        r = self.rle()
-        s = len(r)
-        if s == 0:
-            return Partition(())
-        ms = [0] + [v for v, _ in r]
-        bs = [b for _, b in r]
-        out = []
-        for j in range(1, s + 1):
-            n_j = sum(bs[s - j :])
-            l_j = ms[s - j + 1] - ms[s - j]
-            out.append((n_j, l_j))
-        return Partition.from_rle(out)
+        """Transpose of the diagram: part j counts the rows of length at least j."""
+        width = self.parts[0] if self.parts else 0
+        return Partition(
+            tuple(sum(x >= j for x in self.parts) for j in range(1, width + 1))
+        )
 
 
 def partitions_of(m: int):

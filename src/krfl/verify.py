@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 from .affine import ext_finite, ext_translation, length
 from .demazure import (
@@ -29,7 +29,7 @@ from .demazure import (
     local_weyl,
     rect_demazure,
 )
-from .lweights import blocks_cyclic, pi_blocks
+from .lweights import blocks_cyclic
 from .modules import fusion_product, graded_character
 from .typea import (
     Partition,
@@ -43,6 +43,7 @@ from .typea import (
 
 ONE = Fraction(1)
 DEFAULT_CAP = 5000
+CAP_CHECK = "ambient dimension cap"
 
 
 @dataclass
@@ -79,8 +80,16 @@ def _cap_skip(ambient, cap):
     """The witness of a check skipped because its ambient dimension is
     above cap, or None when the ambient fits."""
     if ambient > cap:
-        return _witness("ambient dimension cap", f"<= {cap}", ambient)
+        return _witness(CAP_CHECK, f"<= {cap}", ambient)
     return None
+
+
+def _report(name, params, details) -> Report:
+    """Fail on any witness but a cap witness, skip on cap witnesses alone,
+    pass on none."""
+    if any(d["check"] != CAP_CHECK for d in details):
+        return Report(name, params, "fail", details)
+    return Report(name, params, "skip" if details else "pass", details)
 
 
 def _params(n, i=None, xi=None, **extra):
@@ -96,25 +105,21 @@ def _params(n, i=None, xi=None, **extra):
 
 
 def _fusion_ambient(n, i, xi):
-    out = 1
-    for c in xi:
-        out *= weyl_dim(weight_scale(c, fundamental_weight(n, i)))
-    return out
+    return prod(weyl_dim(weight_scale(c, fundamental_weight(n, i))) for c in xi)
 
 
-def _gen_ambients(n, i, xi):
-    """Predicted ambient dimensions on the Demazure side, one per block
-    plus the final closure ambient.  Predictions use the dimension
-    formula the dimension suite checks independently at small scale."""
-    conj = Partition(xi).conjugate()
+def _blocks(n, i, xi):
+    """(length, count, ambient, dimension) per block of the conjugate of
+    xi, in pi_blocks order: the block is the level-length rectangular
+    module with highest weight length*count*omega_i, closed inside
+    local_weyl(count*omega_i)^{tensor length}, and its dimension is
+    predicted as the count-th power of dim V(length*omega_i)."""
     fund = comb(n + 1, i)
-    out = []
-    closure = 1
-    for m, b in conj.rle():
-        out.append(fund ** (m * b))
-        closure *= weyl_dim(weight_scale(b, fundamental_weight(n, i))) ** m
-    out.append(closure)
-    return out
+    return [
+        (ell, count, fund ** (ell * count),
+         weyl_dim(weight_scale(ell, fundamental_weight(n, i))) ** count)
+        for count, ell in Partition(xi).conjugate().rle()
+    ]
 
 
 def verify_main(n, i, xi, points=None, cap=DEFAULT_CAP) -> Report:
@@ -125,9 +130,11 @@ def verify_main(n, i, xi, points=None, cap=DEFAULT_CAP) -> Report:
     params = _params(n, i, xi)
     if points is not None:
         params["points"] = [str(z) for z in points]
-    skip = _cap_skip(max(_fusion_ambient(n, i, xi), *_gen_ambients(n, i, xi)), cap)
+    blocks = _blocks(n, i, xi)
+    ambients = [a for _, _, a, _ in blocks] + [prod(d for *_, d in blocks)]
+    skip = _cap_skip(max(_fusion_ambient(n, i, xi), *ambients), cap)
     if skip:
-        return Report("main-isomorphism", params, "skip", [skip])
+        return _report("main-isomorphism", params, [skip])
     fus = fusion_product(n, i, xi, points)
     gd = gen_demazure(n, i, Partition(xi).conjugate())
     details = []
@@ -142,7 +149,7 @@ def verify_main(n, i, xi, points=None, cap=DEFAULT_CAP) -> Report:
     rel = check_gradrel_relations(fus, {fus.cyclic_index: ONE}, i, xi)
     if rel:
         details.append(_witness("graded relation family", "no violations", rel))
-    return Report("main-isomorphism", params, "fail" if details else "pass", details)
+    return _report("main-isomorphism", params, details)
 
 
 def verify_dim(n, i, xi, cap=DEFAULT_CAP) -> Report:
@@ -151,24 +158,18 @@ def verify_dim(n, i, xi, cap=DEFAULT_CAP) -> Report:
     xi = tuple(xi)
     params = _params(n, i, xi)
     details = []
-    skipped = False
-    for _, kr, count in pi_blocks(n, i, Partition(xi)):
-        ell = kr.length
-        skip = _cap_skip(comb(n + 1, i) ** (ell * count), cap)
+    for ell, count, ambient, want in _blocks(n, i, xi):
+        skip = _cap_skip(ambient, cap)
         if skip:
-            skipped = True
             details.append(skip)
             continue
         lam = weight_scale(ell * count, fundamental_weight(n, i))
         got = rect_demazure(n, ell, lam).dim
-        want = weyl_dim(weight_scale(ell, fundamental_weight(n, i))) ** count
         if got != want:
             details.append(
                 _witness(f"block dimension (length {ell}, count {count})", want, got)
             )
-    if skipped and not any("block dimension" in d["check"] for d in details):
-        return Report("block-dimensions", params, "skip", details)
-    return Report("block-dimensions", params, "fail" if details else "pass", details)
+    return _report("block-dimensions", params, details)
 
 
 def verify_blocks(n, i, xi) -> Report:
@@ -176,14 +177,10 @@ def verify_blocks(n, i, xi) -> Report:
     descending order, satisfy the cyclicity ordering criterion."""
     xi = tuple(xi)
     params = _params(n, i, xi)
-    if blocks_cyclic(n, i, Partition(xi)):
-        return Report("block-order", params, "pass")
-    return Report(
-        "block-order",
-        params,
-        "fail",
-        [_witness("cyclicity ordering", True, False)],
-    )
+    details = []
+    if not blocks_cyclic(n, i, Partition(xi)):
+        details.append(_witness("cyclicity ordering", True, False))
+    return _report("block-order", params, details)
 
 
 def verify_point_independence(n, i, xi, trials=3, seed=0, cap=DEFAULT_CAP) -> Report:
@@ -197,7 +194,7 @@ def verify_point_independence(n, i, xi, trials=3, seed=0, cap=DEFAULT_CAP) -> Re
     params = _params(n, i, xi, seed=seed, point_sets=[list(s) for s in sets])
     skip = _cap_skip(_fusion_ambient(n, i, xi), cap)
     if skip:
-        return Report("point-independence", params, "skip", [skip])
+        return _report("point-independence", params, [skip])
     chars = [graded_character(fusion_product(n, i, xi, pts)) for pts in sets]
     details = []
     for pts, gc in zip(sets[1:], chars[1:]):
@@ -209,9 +206,7 @@ def verify_point_independence(n, i, xi, trials=3, seed=0, cap=DEFAULT_CAP) -> Re
                     gc.to_json(),
                 )
             )
-    return Report(
-        "point-independence", params, "fail" if details else "pass", details
-    )
+    return _report("point-independence", params, details)
 
 
 def verify_lemma_length(n, samples=100, seed=0) -> Report:
@@ -233,12 +228,7 @@ def verify_lemma_length(n, samples=100, seed=0) -> Report:
             details.append(
                 _witness(f"additivity at lam={lam}, mu={mu}, w={w}", rhs, lhs)
             )
-    return Report(
-        "length-additivity",
-        _params(n, samples=samples, seed=seed),
-        "fail" if details else "pass",
-        details,
-    )
+    return _report("length-additivity", _params(n, samples=samples, seed=seed), details)
 
 
 def verify_remark_sl4() -> Report:
@@ -257,9 +247,7 @@ def verify_remark_sl4() -> Report:
     lw = local_weyl(3, (0, 2, 0)).dim
     if not (lw == 36 and lw > weyl_dim((0, 2, 0)) + weyl_dim((1, 0, 1))):
         details.append(_witness("graded module strictly larger", "36 > 35", lw))
-    return Report(
-        "rank3-remark", _params(3), "fail" if details else "pass", details
-    )
+    return _report("rank3-remark", _params(3), details)
 
 
 def verify_suite(max_rank=3, max_size=4, seed=0, cap=DEFAULT_CAP) -> list:

@@ -1,7 +1,8 @@
 """The CLI's exact stdout and exit code, pinned per subcommand and format.
 
 Expected outputs were written out from the command line as it stood
-before its writers were merged: JSON as the decoded document (the test
+before its writers were merged (the sl_4 adjoint character before
+char_simple moved to the dominant chamber): JSON as the decoded document (the test
 re-encodes it with indent=2, so key order and layout are pinned), CSV
 and table output line by line, trailing spaces included.
 """
@@ -26,6 +27,7 @@ QFACTOR_INPUT = [
 
 COMMANDS = {
     "char": ["char", "--rank", "1", "--weight", "2"],
+    "char-adjoint": ["char", "--rank", "3", "--weight", "1,0,1"],
     "fusion": ["fusion", "--rank", "1", "--node", "1", "--partition", "1,2",
                "--no-cache"],
     "demazure": ["demazure", "--rank", "1", "--ell", "2", "--lambda", "2",
@@ -72,6 +74,24 @@ FUSION_21_TABLE = [
 ]
 
 
+# the adjoint module of sl_4: twelve roots and the zero weight three times
+ADJOINT = [
+    ((-2, 1, 0), 1),
+    ((-1, -1, 1), 1),
+    ((-1, 0, -1), 1),
+    ((-1, 1, 1), 1),
+    ((-1, 2, -1), 1),
+    ((0, -1, 2), 1),
+    ((0, 0, 0), 3),
+    ((0, 1, -2), 1),
+    ((1, -2, 1), 1),
+    ((1, -1, -1), 1),
+    ((1, 0, 1), 1),
+    ((1, 1, -1), 1),
+    ((2, -1, 0), 1),
+]
+
+
 def _passed(name, params):
     return {"name": name, "params": params, "status": "pass", "details": []}
 
@@ -95,6 +115,42 @@ GOLDEN = {
         "(-2,)   1   ",
         "(0,)    1   ",
         "(2,)    1   ",
+    ],
+    ("char-adjoint", "json"): {
+        "rank": 3,
+        "entries": [{"weight": list(w), "mult": m} for w, m in ADJOINT],
+    },
+    ("char-adjoint", "csv"): [
+        "weight,mult",
+        "-2 1 0,1",
+        "-1 -1 1,1",
+        "-1 0 -1,1",
+        "-1 1 1,1",
+        "-1 2 -1,1",
+        "0 -1 2,1",
+        "0 0 0,3",
+        "0 1 -2,1",
+        "1 -2 1,1",
+        "1 -1 -1,1",
+        "1 0 1,1",
+        "1 1 -1,1",
+        "2 -1 0,1",
+    ],
+    ("char-adjoint", "table"): [
+        "weight       mult",
+        "(-2, 1, 0)   1   ",
+        "(-1, -1, 1)  1   ",
+        "(-1, 0, -1)  1   ",
+        "(-1, 1, 1)   1   ",
+        "(-1, 2, -1)  1   ",
+        "(0, -1, 2)   1   ",
+        "(0, 0, 0)    3   ",
+        "(0, 1, -2)   1   ",
+        "(1, -2, 1)   1   ",
+        "(1, -1, -1)  1   ",
+        "(1, 0, 1)    1   ",
+        "(1, 1, -1)   1   ",
+        "(2, -1, 0)   1   ",
     ],
     ("fusion", "json"): FUSION_21_JSON,
     ("fusion", "csv"): FUSION_21_CSV,

@@ -242,6 +242,31 @@ class TestDemazureRelations:
             check_demazure_relations(m, gen(m), 1, (1.5,))
         assert check_demazure_relations(m, gen(m), 1, (Fraction(1),)) == []
 
+    def test_vector_outside_degree_zero_is_one_message(self):
+        m = fusion_product(1, 1, (1, 1))
+        (top,) = [
+            j for j, w in enumerate(m.weights) if w == (0,) and m.degrees[j] == 1
+        ]
+        assert check_demazure_relations(m, {top: ONE}, 1, (0,)) == [
+            "generator is not in degree zero"
+        ]
+
+    def test_level_one_module_fails_the_level_two_power_relation(self):
+        m = local_weyl(1, (3,))
+        assert check_demazure_relations(m, gen(m), 2, (3,)) == [
+            "lowering root (1,1) t^2 does not kill the generator",
+            "power 2 of lowering root (1,1) t^1 is nonzero",
+        ]
+
+    def test_torus_eigenvalue_is_checked(self):
+        m = unshared(lambda: local_weyl(2, (1, 0)))
+        c = m.cyclic_index
+        m.matrix("h", 1, 0)
+        m._mats[("h", 1, 0)] = {c: ((c, 7),)}
+        assert check_demazure_relations(m, gen(m), 1, (1, 0)) == [
+            "torus eigenvalue at node 1 is wrong"
+        ]
+
 
 class TestGradedRelations:
     def test_required_set_examples(self):
@@ -330,6 +355,22 @@ class TestGradedRelations:
             "mixed relation (r=1, s=1) at root (1,2) is nonzero",
         ]
         assert letters[(1, 1)] <= 2 * 3 and letters[(1, 2)] <= 2 * 3
+
+    def test_power_relation_is_checked(self):
+        m = unshared(lambda: fusion_product(1, 1, (1, 1)))
+        c = m.cyclic_index
+        m.matrix("f", 1, 0)
+        m._mats[("f", 1, 0)] = {c: ((c, 1),)}
+        report = check_gradrel_relations(m, gen(m), 1, (1, 1))
+        assert "power 3 of lowering root (1,1) is nonzero" in report
+
+    @pytest.mark.parametrize(
+        "check", [check_gradrel_relations, find_nonrelation_witness]
+    )
+    def test_empty_partition_is_rejected(self, check):
+        m = fusion_product(1, 1, (1, 1))
+        with pytest.raises(ValueError, match="nonempty"):
+            check(m, gen(m), 1, ())
 
     def test_witness_for_sharpness(self):
         m = fusion_product(1, 1, (1, 1))

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -202,6 +203,34 @@ def test_blocks_cyclic_sweep():
 def test_lweight_json_round_trip():
     pi = LWeight(3, {(1, -2): 2, (3, 5): 1})
     assert LWeight.from_json(3, pi.to_json()) == pi
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: LWeight(2, {(1, 0.5): 1}),
+        lambda: LWeight(2, {(1.5, 0): 1}),
+        lambda: LWeight(2, {(1, float("inf")): 1}),
+        lambda: LWeight(2, {(1, 0): float("inf")}),
+        lambda: KRFactor(1, 0.5, 2),
+        lambda: KRFactor(1, 0, 1.5),
+        lambda: KRFactor(1.5, 0, 1),
+    ],
+    ids=["exponent", "node", "infinite-exponent", "infinite-multiplicity", "center",
+         "length", "factor-node"],
+)
+def test_non_integral_spectral_data_is_rejected(build):
+    with pytest.raises(ValueError, match="must be an integer"):
+        build()
+
+
+def test_integral_floats_are_read_as_ints():
+    assert json.dumps(KRFactor(1, 2.0, 1).to_json()) == json.dumps(
+        {"node": 1, "center": 2, "len": 1}
+    )
+    assert json.dumps(LWeight(2, {(1.0, 2.0): 1}).to_json()) == json.dumps(
+        [{"node": 1, "exp": 2, "mult": 1}]
+    )
 
 
 def test_lweight_rejects_bad_input():

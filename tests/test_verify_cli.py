@@ -6,6 +6,7 @@ import krfl.cli
 import krfl.verify
 from krfl import InvariantError
 from krfl.cli import main
+from krfl.demazure import local_weyl
 from krfl.modules import fusion_of_simples, fusion_product, graded_character
 from krfl.verify import (
     Report,
@@ -66,6 +67,17 @@ class TestVerifyMain:
         assert "graded character equality" in checks
         assert "dimension equality" in checks
 
+    def test_relation_violation_is_reported(self, monkeypatch):
+        monkeypatch.setattr(
+            krfl.verify, "check_gradrel_relations", lambda *a: ["violated"]
+        )
+        r = verify_main(1, 1, (1, 1))
+        assert r.status == "fail"
+        assert r.details == [
+            {"check": "graded relation family", "expected": "no violations",
+             "got": ["violated"]}
+        ]
+
     def test_explicit_points_recorded(self):
         r = verify_main(1, 1, (2, 1), points=(3, -4))
         assert r.status == "pass"
@@ -84,11 +96,44 @@ class TestVerifyDim:
         r = verify_dim(3, 2, (4, 4, 4, 4), cap=10)
         assert r.status == "skip"
 
+    def test_wrong_dimension_is_reported(self, monkeypatch):
+        # (2, 1) is self-conjugate: blocks (length 1, count 1) and
+        # (length 1, count 2), predicted dimensions 2 and 4
+        monkeypatch.setattr(
+            krfl.verify, "rect_demazure", lambda n, ell, lam: local_weyl(1, (1,))
+        )
+        r = verify_dim(1, 1, (2, 1))
+        assert r.status == "fail"
+        assert r.details == [
+            {"check": "block dimension (length 1, count 2)", "expected": 4, "got": 2}
+        ]
+
+    def test_skip_and_failure_together_fail(self, monkeypatch):
+        # cap 3 skips the second block (ambient 4) and checks the first,
+        # whose dimension is wrong
+        monkeypatch.setattr(
+            krfl.verify, "rect_demazure", lambda n, ell, lam: local_weyl(1, (2,))
+        )
+        r = verify_dim(1, 1, (2, 1), cap=3)
+        assert r.status == "fail"
+        assert r.details == [
+            {"check": "block dimension (length 1, count 1)", "expected": 2, "got": 4},
+            {"check": "ambient dimension cap", "expected": "<= 3", "got": 4},
+        ]
+
 
 class TestVerifyBlocks:
     @pytest.mark.parametrize("n,i,xi", [(1, 1, (2, 1)), (2, 2, (2, 2)), (3, 1, (3,))])
     def test_pass(self, n, i, xi):
         assert verify_blocks(n, i, xi).status == "pass"
+
+    def test_bad_order_is_reported(self, monkeypatch):
+        monkeypatch.setattr(krfl.verify, "blocks_cyclic", lambda *a: False)
+        r = verify_blocks(1, 1, (2, 1))
+        assert r.status == "fail"
+        assert r.details == [
+            {"check": "cyclicity ordering", "expected": True, "got": False}
+        ]
 
 
 class TestVerifyPoints:
@@ -102,6 +147,21 @@ class TestVerifyPoints:
         a = verify_point_independence(1, 1, (1, 1), trials=2, seed=3)
         b = verify_point_independence(1, 1, (1, 1), trials=2, seed=3)
         assert a.params["point_sets"] == b.params["point_sets"]
+
+    def test_differing_character_is_reported(self, monkeypatch):
+        modules = iter(
+            [fusion_product(1, 1, (1, 1)), fusion_product(1, 1, (2,)),
+             fusion_product(1, 1, (1, 1))]
+        )
+        monkeypatch.setattr(krfl.verify, "fusion_product", lambda *a: next(modules))
+        r = verify_point_independence(1, 1, (1, 1), trials=3, seed=0)
+        assert r.status == "fail"
+        want = graded_character(fusion_product(1, 1, (1, 1))).to_json()
+        got = graded_character(fusion_product(1, 1, (2,))).to_json()
+        assert r.details == [
+            {"check": f"character at points {r.params['point_sets'][1]}",
+             "expected": want, "got": got}
+        ]
 
     def test_too_few_trials(self):
         with pytest.raises(ValueError):
@@ -130,6 +190,14 @@ class TestVerifyLength:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_pass(self, n):
         assert verify_lemma_length(n, samples=40, seed=2).status == "pass"
+
+    def test_broken_additivity_is_reported(self, monkeypatch):
+        monkeypatch.setattr(krfl.verify, "length", lambda x: 1)
+        r = verify_lemma_length(2, samples=3, seed=0)
+        assert r.status == "fail"
+        assert len(r.details) == 3
+        assert all(d["expected"] == 2 and d["got"] == 1 for d in r.details)
+        assert all(d["check"].startswith("additivity at lam=") for d in r.details)
 
 
 class TestVerifyRemark:
