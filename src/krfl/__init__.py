@@ -18,8 +18,10 @@ from .demazure import (
     check_gradrel_relations,
     find_nonrelation_witness,
     gen_demazure,
+    gen_demazure_character,
     local_weyl,
     rect_demazure,
+    rect_demazure_character,
 )
 from .errors import InvariantError
 from .lweights import (
@@ -40,6 +42,7 @@ from .modules import (
     cyclic_submodule,
     evaluation_module,
     fundamental_gmodule,
+    fusion_character,
     fusion_filtration,
     fusion_of_simples,
     fusion_product,

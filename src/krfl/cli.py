@@ -14,11 +14,12 @@ import csv
 import json
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from .cache import cached_character
-from .demazure import gen_demazure, rect_demazure
+from .demazure import gen_demazure_character, rect_demazure_character
 from .lweights import LWeight, q_factorize
-from .modules import fusion_product, graded_character
+from .modules import fusion_character
 from .typea import Partition, char_simple
 from .verify import DEFAULT_CAP, suite_ok, verify_main, verify_suite
 
@@ -80,13 +81,11 @@ def _cmd_char(args, out):
     return 0
 
 
-def _cmd_graded(args, out, kind, build, **fields):
-    """The graded character of build(), through the on-disk cache under
-    the descriptor of kind, rank and fields."""
+def _cmd_graded(args, out, kind, compute, **fields):
+    """The graded character compute() returns, through the on-disk cache
+    under the descriptor of kind, rank and fields."""
     desc = {"kind": kind, "rank": args.rank, **fields}
-    gc = cached_character(
-        desc, lambda: graded_character(build()), enabled=not args.no_cache
-    )
+    gc = cached_character(desc, compute, enabled=not args.no_cache)
     data = gc.to_json()
     header = ("weight", "degree", "mult")
     _emit(args.format, out, data, header, _entry_rows(data["entries"], header))
@@ -109,7 +108,7 @@ def _cmd_fusion(args, out):
     Partition(parts)  # rejects a zero or negative part
     return _cmd_graded(
         args, out, "fusion",
-        lambda: fusion_product(args.rank, args.node, parts, points),
+        lambda: fusion_character(args.rank, args.node, parts, points),
         node=args.node,
         xi=list(parts),
         points=None if points is None else [str(z) for z in points],
@@ -120,7 +119,7 @@ def _cmd_demazure(args, out):
     lam = _validated_weight(args.rank, args.lam)
     return _cmd_graded(
         args, out, "rectangular-demazure",
-        lambda: rect_demazure(args.rank, args.ell, lam),
+        lambda: rect_demazure_character(args.rank, args.ell, lam),
         ell=args.ell,
         lam=list(lam),
     )
@@ -131,7 +130,7 @@ def _cmd_gendemazure(args, out):
     parts = tuple(sorted(args.partition, reverse=True))
     return _cmd_graded(
         args, out, "generalized-demazure",
-        lambda: gen_demazure(args.rank, args.node, parts),
+        lambda: gen_demazure_character(args.rank, args.node, parts),
         node=args.node,
         xi=list(parts),
     )
@@ -288,8 +287,15 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), built on the first call and reused: parse_args
+    leaves the parser as it found it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.run(args, sys.stdout)
     except ValueError as exc:

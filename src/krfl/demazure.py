@@ -13,7 +13,12 @@ Three constructions, all concrete and exact:
                         tensor of rectangular modules read off the
                         run-length blocks of the partition xi
 
-plus relation checkers that apply the expected defining relations to a
+rect_demazure_character and gen_demazure_character return the graded
+characters of the last two from builds on the dominant window
+(modules.window_character), in which each block and each local Weyl
+factor is windowed too.
+
+Also relation checkers that apply the expected defining relations to a
 claimed generator and report every violation.  The checkers establish
 the necessary direction only; completeness of a presentation is always
 certified elsewhere by a dimension or character match against an
@@ -36,13 +41,15 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .modules import (
+    GradedCharacter,
     GtModule,
+    _fusion_of_simples,
     apply_word,
     cyclic_submodule,
     default_points,
-    fusion_of_simples,
     module_store,
     tensor_modules,
+    window_character,
 )
 from .typea import (
     Partition,
@@ -51,6 +58,7 @@ from .typea import (
     is_dominant,
     positive_roots,
     weight_scale,
+    weight_sub,
     zero_weight,
 )
 
@@ -65,6 +73,10 @@ def local_weyl(n: int, lam, points=None) -> GtModule:
     of each coordinate of lam, at pairwise distinct points: one
     fusion_of_simples call, stored with every other call that makes it.
     """
+    return _local_weyl(n, lam, points, None)
+
+
+def _local_weyl(n, lam, points, floor):
     lam = integral_weight(lam)
     if len(lam) != n or not is_dominant(lam):
         raise ValueError("weight must be dominant of matching rank")
@@ -73,7 +85,7 @@ def local_weyl(n: int, lam, points=None) -> GtModule:
         lams.extend([fundamental_weight(n, i)] * lam[i - 1])
     if not lams:
         lams = [zero_weight(n)]
-    return fusion_of_simples(n, lams, _column_points(lam, points))
+    return _fusion_of_simples(n, lams, _column_points(lam, points), floor)
 
 
 def _column_points(lam, points):
@@ -94,6 +106,18 @@ def rect_demazure(n: int, ell: int, lam, points=None) -> GtModule:
     with points resolved as local_weyl resolves them, so omitting the
     default points and passing them give one module.
     """
+    return _rect_demazure(n, ell, lam, points, None)
+
+
+def _factor_floor(floor, lam, part):
+    """The window of a tensor factor with highest weight part inside a
+    tensor with highest weight lam windowed at floor: floor - (lam -
+    part).  Every other factor's weight is at most its highest weight,
+    so an ambient weight ≥ floor has its factor weights ≥ theirs."""
+    return weight_sub(floor, weight_sub(lam, part))
+
+
+def _rect_demazure(n, ell, lam, points, floor):
     if ell < 1:
         raise ValueError("level must be positive")
     lam = integral_weight(lam)
@@ -101,14 +125,29 @@ def rect_demazure(n: int, ell: int, lam, points=None) -> GtModule:
         raise ValueError("weight must be divisible by the level")
     mu = tuple(c // ell for c in lam)
     points = _column_points(mu, points)
-    if ell == 1:
+    # a full build calls local_weyl itself, so a traced run sees the call
+    if ell == 1 and floor is None:
         return local_weyl(n, mu, points)
+    if ell == 1:
+        return _local_weyl(n, mu, points, floor)
 
     def build():
-        amb = tensor_modules([local_weyl(n, mu, points)] * ell)
+        if floor is None:
+            factor = local_weyl(n, mu, points)
+        else:
+            factor = _local_weyl(n, mu, points, _factor_floor(floor, lam, mu))
+        amb = tensor_modules([factor] * ell)
+        amb.floor = floor
         return cyclic_submodule(amb, {amb.cyclic_index: ONE})
 
-    return module_store(("rect_demazure", n, ell, lam, points), build)
+    key = ("rect_demazure", n, ell, lam, points)
+    return module_store(key if floor is None else (*key, floor), build)
+
+
+def rect_demazure_character(n: int, ell: int, lam) -> GradedCharacter:
+    """graded_character(rect_demazure(n, ell, lam)), built on the dominant
+    window (modules.window_character)."""
+    return window_character(lam, lambda floor: _rect_demazure(n, ell, lam, None, floor))
 
 
 def gen_demazure(n: int, i: int, xi) -> GtModule:
@@ -118,15 +157,33 @@ def gen_demazure(n: int, i: int, xi) -> GtModule:
     factor each: a block of b parts of size m contributes the level-b
     module with highest weight b*m*omega_i.
     """
+    return _gen_demazure(n, i, xi, None)
+
+
+def _gen_demazure(n, i, xi, floor):
     omega = fundamental_weight(n, i)
-    factors = [
-        rect_demazure(n, b, weight_scale(b * m, omega))
-        for m, b in _nonempty(xi).rle()
-    ]
+    xi = _nonempty(xi)
+    lam = weight_scale(sum(xi.parts), omega)
+    factors = []
+    for m, b in xi.rle():
+        top = weight_scale(b * m, omega)
+        if floor is None:  # rect_demazure itself, as _rect_demazure calls local_weyl
+            factors.append(rect_demazure(n, b, top))
+        else:
+            sub = _factor_floor(floor, lam, top)
+            factors.append(_rect_demazure(n, b, top, None, sub))
     if len(factors) == 1:
         return factors[0]
     amb = tensor_modules(factors)
+    amb.floor = floor
     return cyclic_submodule(amb, {amb.cyclic_index: ONE})
+
+
+def gen_demazure_character(n: int, i: int, xi) -> GradedCharacter:
+    """graded_character(gen_demazure(n, i, xi)), built on the dominant
+    window (modules.window_character)."""
+    lam = weight_scale(sum(xi), fundamental_weight(n, i))
+    return window_character(lam, lambda floor: _gen_demazure(n, i, xi, floor))
 
 
 def _nonempty(xi) -> Partition:

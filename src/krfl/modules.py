@@ -39,6 +39,13 @@ that weight no further candidate of the stage (see _close).
 cyclic_submodule and fusion_filtration differ only in the checks they
 make afterwards and in how _module_on_rows reads the rows.
 
+A graded character can be had from a part of the module alone.  Every
+degree of a fusion product or Demazure-type module is a g-module, so its
+dominant multiplicities fix it, and window_character builds only the
+weights at or above the lowest dominant weight of the highest weight's
+coset: the closure skips every lower target (_close) and reads only the
+ambient columns its rows touch (GtModule.columns).
+
 A graded module is built once while it is stored.  fusion_of_simples
 and demazure.rect_demazure (level above one) take their module from
 module_store, keyed by the construction call, so every caller making
@@ -58,7 +65,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from collections import Counter, OrderedDict
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -74,11 +81,15 @@ from .linalg import (
 )
 from .typea import (
     Character,
+    _orbit,
     cartan_matrix,
     dominant_rep,
+    dominates,
     fundamental_weight,
+    height,
     integral_weight,
     is_dominant,
+    lowest_dominant,
     simple_root,
     weight_add,
     weight_scale,
@@ -91,7 +102,9 @@ STORE_BUDGET = 5000  # total dimension of the modules module_store keeps
 
 
 def _module_store():
-    entries = OrderedDict()  # key -> module, least recently used first
+    # key -> module, least recently used first; a plain dict, as walking
+    # an OrderedDict's values hashes every key, each a tuple of Fractions
+    entries = {}
 
     def module_store(key, build):
         """The module stored under key, or build() stored under key.
@@ -100,9 +113,9 @@ def _module_store():
         their total dimension is within STORE_BUDGET, never the one just
         stored: the store holds at most the budget plus one module.
         """
-        m = entries.get(key)
+        m = entries.pop(key, None)
         if m is not None:
-            entries.move_to_end(key)
+            entries[key] = m
             return m
         m = entries[key] = build()
         total = sum(x.dim for x in entries.values())
@@ -181,7 +194,10 @@ def _lowering_gens(rank, powers):
 
 def _row_pass(m):
     """The action for a pass over every row: each generator's matrix is
-    read (and built, if need be) once and applied row by row."""
+    read (and built, if need be) once and applied row by row.  A windowed
+    module reads only the columns of the rows it acts on (GtModule.columns)."""
+    if m.floor is not None:
+        return lambda sym, i, k, vec: mat_apply(m.columns(sym, i, k, vec), vec)
     mats = {}
 
     def act(sym, i, k, vec):
@@ -222,19 +238,25 @@ def _close(m, ech, rows, gens, act):
     ungraded closure whose Borel phase accepted rows keeps them in the
     same blocks at every tag, so its counts are not stage dimensions
     and nothing is skipped.
+
+    Window.  If m.floor is set, a generator whose target weight is not
+    ≥ floor is not applied.  Every generator lowers or raises by a
+    simple root, so a row at a weight ≥ floor comes from rows at weights
+    ≥ floor alone, and the rows of each window weight are those of the
+    full closure.
     """
+    floor = m.floor
     groups = {}
     for sym, i, k in gens:
         groups.setdefault(k, []).append((sym, i, _shift(m.rank, sym, i)))
     stage = all(sym == "f" for sym, _, _ in gens) and (m.graded or len(ech) == 1)
     count = Counter(ech.meta)  # (weight, tag) -> rows stored
-    coeffs = [i * (m.rank + 1 - i) for i in range(1, m.rank + 1)]
     targets = {}  # (source weight, t-power) -> [(sym, i, weight, dominant rep)]
     heap = []
 
     def queue(j):
         wt, tag = ech.meta[j]
-        h = sum(c * x for c, x in zip(coeffs, wt))
+        h = height(wt)
         for k in groups:
             heapq.heappush(heap, (tag + k, -h, j, k))
 
@@ -249,6 +271,8 @@ def _close(m, ech, rows, gens, act):
             aims = targets[(wt, k)] = []
             for sym, i, shift in groups[k]:
                 wt2 = weight_add(wt, shift)
+                if floor is not None and not dominates(wt2, floor):
+                    continue
                 dom = None if is_dominant(wt2) else dominant_rep(wt2)
                 aims.append((sym, i, wt2, dom))
         for sym, i, wt2, dom in aims:
@@ -301,7 +325,16 @@ class GtModule:
     apply, if given, is a vector-level action apply(sym, i, k, vec).
     act, the path for work on one vector, uses it while the matrix is
     not cached; a pass over every row reads matrix instead, which
-    builds and caches the whole matrix once.
+    builds and caches the whole matrix once.  column, if given, is
+    column(sym, i, k) -> make, with make(j) column j of that matrix as
+    a dict; columns builds and caches them one at a time.
+
+    floor is None except inside the character builds of
+    window_character, which set it on the ambient of a closure; the
+    result inherits it.  Such a module holds only the part on the
+    weights ≥ floor: a closure inside it visits no lower weight (_close),
+    and an image below floor acts as zero.  No such module leaves the
+    engine.
     """
 
     def __init__(
@@ -314,6 +347,8 @@ class GtModule:
         points=None,
         cyclic_index=None,
         apply=None,
+        column=None,
+        floor=None,
     ):
         self.rank = rank
         self.weights = [tuple(w) for w in weights]
@@ -324,6 +359,9 @@ class GtModule:
         self._builder = builder
         self._mats = {}
         self._apply_vec = apply
+        self._column = column
+        self._columns = {}  # (sym, i, k) -> (columns built so far, make)
+        self.floor = floor
 
     @property
     def dim(self):
@@ -353,6 +391,21 @@ class GtModule:
         if key not in self._mats:
             self._mats[key] = {} if self._acts_by_zero(k) else self._builder(sym, i, k)
         return self._mats[key]
+
+    def columns(self, sym, i, k, support):
+        """Enough of matrix(sym, i, k) to apply it to a vector with this
+        support: the columns built so far, each once, those of support
+        among them; the whole matrix if the module has no column builder."""
+        if self._column is None or self._acts_by_zero(k):
+            return self.matrix(sym, i, k)
+        key = (sym, i, k)
+        if key not in self._columns:
+            self._columns[key] = ({}, self._column(sym, i, k))
+        cols, make = self._columns[key]
+        for j in support:
+            if j not in cols:
+                cols[j] = tuple((r, _canon(c)) for r, c in make(j).items() if c)
+        return cols
 
     def act(self, sym, i, k, vec):
         if k < 0:
@@ -428,33 +481,37 @@ def tensor_modules(ms) -> GtModule:
     strides = [math.prod(dims[f + 1 :]) for f in range(len(ms))]
     flats = list(range(len(labels)))
     index = dict(zip(labels, flats))
-    weights = []
-    degrees = [] if graded else None
-    for lab in labels:
-        w = zero_weight(rank)
-        for f, j in enumerate(lab):
-            w = weight_add(w, ms[f].weights[j])
-        weights.append(w)
-        if graded:
-            degrees.append(sum(ms[f].degrees[j] for f, j in enumerate(lab)))
+    # in the order of labels: the weight and degree of each factor summed
+    weights = [
+        tuple(map(sum, zip(*ws))) for ws in itertools.product(*(m.weights for m in ms))
+    ]
+    degrees = None
+    if graded:
+        degrees = [sum(ds) for ds in itertools.product(*(m.degrees for m in ms))]
 
-    def build(sym, i, k):
+    def column(sym, i, k):
+        """Column flat of the (sym, i, k) matrix: each factor's column at
+        its coordinate of flat, moved into place."""
         factor_mats = [
             (mat, st, d)
             for mat, st, d in zip((m.matrix(sym, i, k) for m in ms), strides, dims)
             if mat
         ]
-        cols = {}
-        for flat in flats:
+
+        def make(flat):
             col = {}
             for mat, st, d in factor_mats:
                 j = flat // st % d
                 for r, c in mat.get(j, ()):
                     dest = flats[flat + (r - j) * st]
                     col[dest] = col.get(dest, 0) + c
-            if col:
-                cols[flat] = col
-        return mat_from_columns(cols)
+            return col
+
+        return make
+
+    def build(sym, i, k):
+        make = column(sym, i, k)
+        return mat_from_columns({flat: col for flat in flats if (col := make(flat))})
 
     def apply(sym, i, k, vec):
         """The coproduct action on one vector: each factor acts once on
@@ -497,6 +554,7 @@ def tensor_modules(ms) -> GtModule:
         points=points,
         cyclic_index=cyclic,
         apply=apply,
+        column=column,
     )
     out.flat_index = index
     return out
@@ -543,9 +601,18 @@ def _module_on_rows(m, ech, degrees, trunc, points, slot):
     fusion_filtration keeps its graded slot.  The action on one vector lifts it to m and
     goes through m.act; a matrix reads m.matrix once and applies it to
     every row.  Both closures end here, so the reduced copy of ech is
-    released.
+    released.  The new module inherits m's floor: an image below it is
+    not computed and acts as zero, and a matrix reads only the columns
+    of m that its rows touch.
     """
     ech.release()
+    floor = m.floor
+
+    def below(sym, i, wt):
+        """Whether images of weight wt fall below the floor."""
+        if floor is None:
+            return False
+        return not dominates(weight_add(wt, _shift(m.rank, sym, i)), floor)
 
     def coords(sym, i, k, img, wt, deg):
         if not img:
@@ -562,17 +629,24 @@ def _module_on_rows(m, ech, degrees, trunc, points, slot):
             groups.setdefault(ech.meta[j], {})[j] = c
         out = {}
         for (wt, deg), part in groups.items():
-            img = m.act(sym, i, k, _lift(ech, part))
-            vec_iadd_scaled(out, coords(sym, i, k, img, wt, deg), 1)
+            if not below(sym, i, wt):
+                img = m.act(sym, i, k, _lift(ech, part))
+                vec_iadd_scaled(out, coords(sym, i, k, img, wt, deg), 1)
         return out
 
     def build(sym, i, k):
-        mat = m.matrix(sym, i, k)
+        mat = m.matrix(sym, i, k) if floor is None else None
         cols = {}
         for j, row in enumerate(ech.rows):
             # act on the integer row, which is scales[j] times basis vector
             # j, so the ambient action stays in int arithmetic
-            col = coords(sym, i, k, mat_apply(mat, row), *ech.meta[j])
+            if mat is not None:
+                img = mat_apply(mat, row)
+            elif below(sym, i, ech.meta[j][0]):
+                continue
+            else:
+                img = mat_apply(m.columns(sym, i, k, row), row)
+            col = coords(sym, i, k, img, *ech.meta[j])
             g = ech.scales[j]
             if col:
                 cols[j] = col if g == 1 else {r: Fraction(c, g) for r, c in col.items()}
@@ -587,6 +661,7 @@ def _module_on_rows(m, ech, degrees, trunc, points, slot):
         points=points,
         cyclic_index=0,
         apply=apply,
+        floor=floor,
     )
 
 
@@ -604,7 +679,9 @@ def _closure(m: GtModule, vec):
     highest-weight vec the Borel phase accepts no row; that is exactly
     the premise under which U(n⁻[t])·vec already is U(g[t])·vec.  For
     any other vec it yields U(b[t])·vec, so every weight vector is a
-    valid input.
+    valid input.  In a windowed m (m.floor set) the closure keeps to the
+    weights ≥ floor (_close) and reads only the columns of m its rows
+    touch (_row_pass).
     """
     if not vec:
         raise ValueError("cannot close the zero vector")
@@ -657,14 +734,18 @@ def fusion_filtration(m: GtModule, vec) -> GtModule:
     of tag r are processed every stored row has tag ≤ r, and a row
     accepted there gets tag r.  So the rows of tag ≤ r span F^r, and
     row j represents its class in F^{d_j}/F^{d_j - 1}, d_j its tag.
-    Raises ValueError if vec does not generate m.
+    Raises ValueError if vec does not generate m, or, in a windowed m,
+    if the rows are fewer than m's basis vectors at weights ≥ m.floor.
     """
     if m.graded:
         raise ValueError("input is already graded")
     ech, borel = _closure(m, vec)
     if borel:
         raise ValueError("generator is not a highest-weight vector")
-    if len(ech) < m.dim:
+    inside = m.dim if m.floor is None else sum(
+        c for wt, c in ech.capacity.items() if dominates(wt, m.floor)
+    )
+    if len(ech) < inside:
         raise ValueError("vector is not cyclic")
 
     tags = [meta[1] for meta in ech.meta]
@@ -685,6 +766,12 @@ def default_points(p: int):
 def fusion_of_simples(n, lams, points) -> GtModule:
     """Graded fusion of the simple modules V(lam_k) at the given points,
     built once per (n, lams, points) while module_store keeps it."""
+    return _fusion_of_simples(n, lams, points, None)
+
+
+def _fusion_of_simples(n, lams, points, floor):
+    """fusion_of_simples, or with a floor its windowed part, stored under
+    a key of its own."""
     lams = tuple(integral_weight(lam) for lam in lams)
     points = tuple(Fraction(z) for z in points)
     if not lams:
@@ -699,18 +786,49 @@ def fusion_of_simples(n, lams, points) -> GtModule:
             evaluation_module(simple_gmodule(n, lam), z) for lam, z in zip(lams, points)
         ]
         big = factors[0] if len(factors) == 1 else tensor_modules(factors)
+        big.floor = floor
         return fusion_filtration(big, {big.cyclic_index: ONE})
 
-    return module_store(("fusion_of_simples", n, lams, points), build)
+    key = ("fusion_of_simples", n, lams, points)
+    return module_store(key if floor is None else (*key, floor), build)
+
+
+def _one_node(n, i, xi, points):
+    """The highest weights xi_k omega_i and the points of fusion_product."""
+    parts = tuple(xi)
+    if points is None:
+        points = default_points(len(parts))
+    return [weight_scale(c, fundamental_weight(n, i)) for c in parts], points
 
 
 def fusion_product(n: int, i: int, xi, points=None) -> GtModule:
     """Fusion of the one-node simples with highest weights xi_k omega_i."""
-    parts = tuple(xi)
-    if points is None:
-        points = default_points(len(parts))
-    lams = [weight_scale(c, fundamental_weight(n, i)) for c in parts]
-    return fusion_of_simples(n, lams, points)
+    return fusion_of_simples(n, *_one_node(n, i, xi, points))
+
+
+def fusion_character(n: int, i: int, xi, points=None) -> GradedCharacter:
+    """graded_character(fusion_product(n, i, xi, points)), built on the
+    dominant window (window_character)."""
+    lams, points = _one_node(n, i, xi, points)
+    top = tuple(map(sum, zip(zero_weight(n), *lams)))
+    return window_character(top, lambda floor: _fusion_of_simples(n, lams, points, floor))
+
+
+def window_character(lam, build) -> GradedCharacter:
+    """graded_character(build(None)), computed from build(floor) alone.
+
+    build(floor) is the part on the weights ≥ floor of a graded module
+    with highest weight lam, every degree of which is a g-module (a
+    fusion product or a Demazure-type module; Chari–Loktev 2006).  The
+    floor is the lowest dominant weight of lam's coset, so every
+    dominant weight of the module lies in the window, and each dominant
+    multiplicity of a degree spreads over its W-orbit.
+    """
+    m = build(lowest_dominant(integral_weight(lam)))
+    dominant = Counter((w, d) for w, d in zip(m.weights, m.degrees) if is_dominant(w))
+    return GradedCharacter(
+        m.rank, {(w, d): c for (mu, d), c in dominant.items() for w in _orbit(mu)}
+    )
 
 
 class GradedCharacter:

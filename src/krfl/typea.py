@@ -131,6 +131,36 @@ def is_dominant(lam) -> bool:
     return all(a >= 0 for a in lam)
 
 
+def height(lam) -> int:
+    """2<lam, rho> = sum_i i(n+1-i) lam_i, an integer; lowering by a
+    simple root lowers it by exactly 2."""
+    n = len(lam)
+    return sum(i * (n + 1 - i) * a for i, a in enumerate(lam, 1))
+
+
+def lowest_dominant(lam) -> Weight:
+    """The lowest dominant weight of lam's coset modulo the root lattice:
+    omega_r for r = sum_i i lam_i mod (n+1), or 0.  It is minuscule, so
+    every dominant weight of the coset is above it in the root order."""
+    n = len(lam)
+    r = sum(i * a for i, a in enumerate(lam, 1)) % (n + 1)
+    return fundamental_weight(n, r) if r else zero_weight(n)
+
+
+def dominates(mu, nu) -> bool:
+    """Whether mu >= nu in the root order: mu - nu is a sum of positive
+    roots.  With a the epsilon coordinates of mu - nu, its coefficient at
+    alpha_j is the j-th partial sum of a minus j times their mean."""
+    a = to_avec(weight_sub(mu, nu))
+    size, total, partial = len(a), sum(a), 0
+    for j, x in enumerate(a[:-1], 1):
+        partial += x
+        c = size * partial - j * total
+        if c < 0 or c % size:
+            return False
+    return True
+
+
 def to_avec(lam):
     """Epsilon coordinates (a_1, ..., a_{n+1}) normalized by a_{n+1} = 0."""
     n = len(lam)
@@ -307,7 +337,7 @@ def char_simple(lam) -> Character:
     norm_top = inner_product(lam_rho, lam_rho)
 
     # Process by decreasing height so every dominant_rep(mu + k*alpha) is done.
-    order = sorted(dominant, key=lambda mu: inner_product(mu, rho_w), reverse=True)
+    order = sorted(dominant, key=height, reverse=True)
     mult = {}
     for mu in order:
         if mu == lam:
@@ -343,11 +373,10 @@ def tensor_decompose(lam, mu) -> dict:
     n = rank_of(lam)
     if len(mu) != n:
         raise ValueError("rank mismatch")
-    rho_w = rho(n)
     rem = char_simple(lam) * char_simple(mu)
     out = {}
     while rem.mult:
-        top = max(rem.mult, key=lambda w: (inner_product(w, rho_w), w))
+        top = max(rem.mult, key=lambda w: (height(w), w))
         c = rem.mult[top]
         if not is_dominant(top) or c <= 0:
             raise InvariantError("character division met a non-dominant top weight")

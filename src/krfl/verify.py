@@ -30,7 +30,7 @@ from .demazure import (
     rect_demazure,
 )
 from .lweights import blocks_cyclic
-from .modules import fusion_product, graded_character
+from .modules import fusion_character, fusion_product, graded_character
 from .typea import (
     Partition,
     fundamental_weight,
@@ -195,7 +195,7 @@ def verify_point_independence(n, i, xi, trials=3, seed=0, cap=DEFAULT_CAP) -> Re
     skip = _cap_skip(_fusion_ambient(n, i, xi), cap)
     if skip:
         return _report("point-independence", params, [skip])
-    chars = [graded_character(fusion_product(n, i, xi, pts)) for pts in sets]
+    chars = [fusion_character(n, i, xi, pts) for pts in sets]
     details = []
     for pts, gc in zip(sets[1:], chars[1:]):
         if gc != chars[0]:

@@ -298,3 +298,44 @@ def test_python_dash_m_bad_input_exits_two_with_one_line(tmp_path):
     assert proc.stdout == ""
     [line] = proc.stderr.splitlines()
     assert line.startswith("krfl: error: ")
+
+
+def _in_process(argv, capsys):
+    try:
+        rc = main(argv)
+    except SystemExit as exc:  # argparse: --help and bad arguments
+        rc = exc.code
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
+FUSION_21 = ["fusion", "--rank", "2", "--node", "1", "--partition", "2,1",
+             "--no-cache", "--format", "json"]
+
+# (argv, exit code) in order, run in one process on the parser that main
+# builds at its first call
+SEQUENCES = {
+    # leaked points would not fit the three parts of the second call
+    "points-then-none": [
+        (FUSION_21 + ["--points", "0,2"], 0),
+        (FUSION_21[:6] + ["1,1,1"] + FUSION_21[7:], 0),
+    ],
+    "argparse-error-then-query": [
+        (["fusion", "--rank", "1", "--node", "1", "--partition", "1",
+          "--points", "abc", "--no-cache"], 2),
+        (["fusion", "--rank", "1"], 2),
+        (FUSION_21, 0),
+    ],
+    "query-then-help": [
+        (FUSION_21, 0), (["--help"], 0), (["fusion", "--help"], 0), (FUSION_21, 0),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEQUENCES))
+def test_consecutive_calls_match_fresh_processes(name, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the width
+    for argv, rc in SEQUENCES[name]:
+        proc = _run_module(argv, tmp_path)
+        assert proc.returncode == rc, (argv, proc.stderr)
+        assert _in_process(argv, capsys) == (rc, proc.stdout, proc.stderr), argv

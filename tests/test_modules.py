@@ -10,8 +10,10 @@ import krfl.modules
 from krfl.demazure import (
     check_demazure_relations,
     gen_demazure,
+    gen_demazure_character,
     local_weyl,
     rect_demazure,
+    rect_demazure_character,
 )
 from krfl.linalg import Echelon, mat_from_columns, mat_scale
 from krfl.modules import (
@@ -23,6 +25,7 @@ from krfl.modules import (
     default_points,
     evaluation_module,
     fundamental_gmodule,
+    fusion_character,
     fusion_filtration,
     fusion_of_simples,
     fusion_product,
@@ -36,6 +39,7 @@ from krfl.typea import (
     Character,
     char_simple,
     dominant_rep,
+    dominates,
     fundamental_weight,
     is_dominant,
     partitions_of,
@@ -499,13 +503,25 @@ CLOSURE_ROUTES = {
     "eval_tensor_non_highest": lambda: _close_every_basis_vector(
         _eval_tensor([(1, 1), (1, 0)])
     ),
+    # character builds: every closure keeps to its window (ambient floor)
+    "window_fusion": lambda: fusion_character(2, 1, (2, 1), points=(3, 5)),
+    "window_fusion_rank3": lambda: fusion_character(3, 2, (1, 1), points=(3, 5)),
+    "window_local_weyl": lambda: rect_demazure_character(2, 1, (1, 2)),
+    "window_rect_demazure_level2": lambda: rect_demazure_character(2, 2, (2, 2)),
+    "window_gen_demazure": lambda: gen_demazure_character(2, 1, (2, 1)),
 }
+
+
+def _dominant(mults):
+    return {(wt, d): c for (wt, d), c in mults.items() if is_dominant(wt) and c}
 
 
 class TestReferenceClosure:
     """Each closure a route runs against reference_closure on its ambient:
     the stage skip and the order inside a tag change which candidates are
-    tried, never the rows per (weight, tag) or the character."""
+    tried, never the rows per (weight, tag) or the character.  A windowed
+    closure has the reference's rows at the weights ≥ its ambient's
+    floor, and none elsewhere."""
 
     @pytest.mark.parametrize("route", sorted(CLOSURE_ROUTES))
     def test_rows_per_weight_and_tag_match_reference(self, route, monkeypatch):
@@ -521,10 +537,21 @@ class TestReferenceClosure:
         module_store.cache_clear()
         out = CLOSURE_ROUTES[route]()
         assert seen
+        cut = False
         for m, vec, got, _ in seen:
-            assert got == reference_closure(m, vec)
+            want = reference_closure(m, vec)
+            if m.floor is not None:
+                inside = Counter(
+                    {key: c for key, c in want.items() if dominates(key[0], m.floor)}
+                )
+                cut |= inside != want
+                want = inside
+            assert got == want
         want = seen[-1][2]
-        if out.graded:
+        if route.startswith("window_"):
+            assert cut
+            assert _dominant(out.mults) == _dominant(want)
+        elif out.graded:
             assert graded_character(out).mults == want
         else:
             collapsed = Counter()

@@ -10,8 +10,12 @@ from krfl.typea import (
     Partition,
     char_simple,
     dominant_rep,
+    dominates,
     fundamental_weight,
+    height,
     inner_product,
+    is_dominant,
+    lowest_dominant,
     partitions_of,
     positive_roots,
     root_weight,
@@ -188,6 +192,67 @@ def test_tensor_decompose_character_product():
         for nu, c in tensor_decompose(lam, mu).items():
             rebuilt = rebuilt.sub_scaled(char_simple(nu), -c)
         assert rebuilt == prod
+
+
+# sha256 of the JSON of [[lam, mu, sorted [[nu, mult], ...]], ...] over
+# {0,1,2}^3 x {0,1}^3, written out while the top weight was still picked
+# by the rational inner product with rho
+DECOMPOSITION_GRID_SHA256 = (
+    "70ee8dfcab4864b62b2bcc741b858c6db6929b231401e1a4f7a97674cc3ed05d"
+)
+
+
+def test_tensor_decompositions_are_pinned_on_a_grid():
+    rows = [
+        [list(lam), list(mu), sorted([list(nu), c] for nu, c in dec.items())]
+        for lam, mu, dec in (
+            (lam, mu, tensor_decompose(lam, mu))
+            for lam in itertools.product((0, 1, 2), repeat=3)
+            for mu in itertools.product((0, 1), repeat=3)
+        )
+    ]
+    assert len(rows) == 216
+    text = json.dumps(rows, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == DECOMPOSITION_GRID_SHA256
+
+
+def test_height_is_twice_the_pairing_with_rho():
+    for n in (1, 2, 3, 4):
+        rho = (1,) * n
+        for lam in itertools.product(range(-2, 3), repeat=n):
+            assert height(lam) == 2 * inner_product(lam, rho), lam
+
+
+def _box(n, r):
+    return itertools.product(range(-r, r + 1), repeat=n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_dominance_matches_sums_of_simple_roots(n):
+    # mu >= nu iff mu - nu is a non-negative integer combination of simple
+    # roots; in the box every such difference has coefficients below 13
+    r = 2 if n < 4 else 1
+    above = set()
+    for coeffs in itertools.product(range(13), repeat=n):
+        d = zero_weight(n)
+        for i, c in enumerate(coeffs, 1):
+            d = weight_add(d, tuple(c * x for x in simple_root(n, i)))
+        above.add(d)
+    nus = list(_box(n, r))
+    for nu in nus[:: max(1, len(nus) // 9)]:
+        for mu in _box(n, 2 * r):
+            assert dominates(mu, nu) == (weight_sub(mu, nu) in above), (mu, nu)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_lowest_dominant_lies_below_every_dominant_weight_of_its_coset(n):
+    for lam in _box(n, 2):
+        low = lowest_dominant(lam)
+        assert is_dominant(low) and sum(low) <= 1, (lam, low)  # 0 or some omega_r
+        shift = weight_sub(lam, low)
+        assert sum(i * x for i, x in enumerate(shift, 1)) % (n + 1) == 0, (lam, low)
+        if is_dominant(lam):
+            assert dominates(lam, low), (lam, low)
 
 
 def test_partition_rle_and_conjugate():

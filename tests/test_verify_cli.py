@@ -149,11 +149,10 @@ class TestVerifyPoints:
         assert a.params["point_sets"] == b.params["point_sets"]
 
     def test_differing_character_is_reported(self, monkeypatch):
-        modules = iter(
-            [fusion_product(1, 1, (1, 1)), fusion_product(1, 1, (2,)),
-             fusion_product(1, 1, (1, 1))]
+        chars = iter(
+            [graded_character(fusion_product(1, 1, xi)) for xi in [(1, 1), (2,), (1, 1)]]
         )
-        monkeypatch.setattr(krfl.verify, "fusion_product", lambda *a: next(modules))
+        monkeypatch.setattr(krfl.verify, "fusion_character", lambda *a: next(chars))
         r = verify_point_independence(1, 1, (1, 1), trials=3, seed=0)
         assert r.status == "fail"
         want = graded_character(fusion_product(1, 1, (1, 1))).to_json()
