@@ -43,8 +43,8 @@ A graded character can be had from a part of the module alone.  Every
 degree of a fusion product or Demazure-type module is a g-module, so its
 dominant multiplicities fix it, and window_character builds only the
 weights at or above the lowest dominant weight of the highest weight's
-coset: the closure skips every lower target (_close) and reads only the
-ambient columns its rows touch (GtModule.columns).
+coset: the closure skips every lower target (_close) and builds only the
+ambient columns its rows touch (_row_pass).
 
 A graded module is built once while it is stored.  fusion_of_simples
 and demazure.rect_demazure (level above one) take their module from
@@ -195,9 +195,8 @@ def _lowering_gens(rank, powers):
 def _row_pass(m):
     """The action for a pass over every row: each generator's matrix is
     read (and built, if need be) once and applied row by row.  A windowed
-    module reads only the columns of the rows it acts on (GtModule.columns)."""
-    if m.floor is not None:
-        return lambda sym, i, k, vec: mat_apply(m.columns(sym, i, k, vec), vec)
+    module builds instead only the columns of the rows it acts on, each
+    once per pass (GtModule.column_maker); they go when the pass ends."""
     mats = {}
 
     def act(sym, i, k, vec):
@@ -206,7 +205,17 @@ def _row_pass(m):
             mats[key] = m.matrix(*key)
         return mat_apply(mats[key], vec)
 
-    return act
+    def act_windowed(sym, i, k, vec):
+        key = (sym, i, k)
+        if key not in mats:
+            mats[key] = ({}, m.column_maker(*key))
+        cols, make = mats[key]
+        for j in vec:
+            if j not in cols:
+                cols[j] = tuple((r, _canon(c)) for r, c in make(j).items() if c)
+        return mat_apply(cols, vec)
+
+    return act if m.floor is None else act_windowed
 
 
 def _close(m, ech, rows, gens, act):
@@ -327,7 +336,7 @@ class GtModule:
     not cached; a pass over every row reads matrix instead, which
     builds and caches the whole matrix once.  column, if given, is
     column(sym, i, k) -> make, with make(j) column j of that matrix as
-    a dict; columns builds and caches them one at a time.
+    a dict built alone.
 
     floor is None except inside the character builds of
     window_character, which set it on the ambient of a closure; the
@@ -360,7 +369,6 @@ class GtModule:
         self._mats = {}
         self._apply_vec = apply
         self._column = column
-        self._columns = {}  # (sym, i, k) -> (columns built so far, make)
         self.floor = floor
 
     @property
@@ -392,20 +400,14 @@ class GtModule:
             self._mats[key] = {} if self._acts_by_zero(k) else self._builder(sym, i, k)
         return self._mats[key]
 
-    def columns(self, sym, i, k, support):
-        """Enough of matrix(sym, i, k) to apply it to a vector with this
-        support: the columns built so far, each once, those of support
-        among them; the whole matrix if the module has no column builder."""
+    def column_maker(self, sym, i, k):
+        """make, with make(j) column j of matrix(sym, i, k) as a dict:
+        built alone if the module has a column builder, else read from
+        the matrix."""
         if self._column is None or self._acts_by_zero(k):
-            return self.matrix(sym, i, k)
-        key = (sym, i, k)
-        if key not in self._columns:
-            self._columns[key] = ({}, self._column(sym, i, k))
-        cols, make = self._columns[key]
-        for j in support:
-            if j not in cols:
-                cols[j] = tuple((r, _canon(c)) for r, c in make(j).items() if c)
-        return cols
+            mat = self.matrix(sym, i, k)
+            return lambda j: dict(mat.get(j, ()))
+        return self._column(sym, i, k)
 
     def act(self, sym, i, k, vec):
         if k < 0:
@@ -481,10 +483,13 @@ def tensor_modules(ms) -> GtModule:
     strides = [math.prod(dims[f + 1 :]) for f in range(len(ms))]
     flats = list(range(len(labels)))
     index = dict(zip(labels, flats))
-    # in the order of labels: the weight and degree of each factor summed
-    weights = [
-        tuple(map(sum, zip(*ws))) for ws in itertools.product(*(m.weights for m in ms))
-    ]
+    # in the order of labels: the weight and degree of each factor summed,
+    # each distinct weight one tuple object
+    distinct = {}
+    weights = []
+    for ws in itertools.product(*(m.weights for m in ms)):
+        w = tuple(map(sum, zip(*ws)))
+        weights.append(distinct.setdefault(w, w))
     degrees = None
     if graded:
         degrees = [sum(ds) for ds in itertools.product(*(m.degrees for m in ms))]
@@ -600,10 +605,9 @@ def _module_on_rows(m, ech, degrees, trunc, points, slot):
     into the column of the new module: cyclic_submodule keeps them all,
     fusion_filtration keeps its graded slot.  The action on one vector lifts it to m and
     goes through m.act; a matrix reads m.matrix once and applies it to
-    every row.  Both closures end here, so the reduced copy of ech is
-    released.  The new module inherits m's floor: an image below it is
-    not computed and acts as zero, and a matrix reads only the columns
-    of m that its rows touch.
+    every row (_row_pass).  Both closures end here, so the reduced copy
+    of ech is released.  The new module inherits m's floor: an image
+    below it is not computed and acts as zero.
     """
     ech.release()
     floor = m.floor
@@ -635,18 +639,14 @@ def _module_on_rows(m, ech, degrees, trunc, points, slot):
         return out
 
     def build(sym, i, k):
-        mat = m.matrix(sym, i, k) if floor is None else None
+        act = _row_pass(m)
         cols = {}
         for j, row in enumerate(ech.rows):
+            if below(sym, i, ech.meta[j][0]):
+                continue
             # act on the integer row, which is scales[j] times basis vector
             # j, so the ambient action stays in int arithmetic
-            if mat is not None:
-                img = mat_apply(mat, row)
-            elif below(sym, i, ech.meta[j][0]):
-                continue
-            else:
-                img = mat_apply(m.columns(sym, i, k, row), row)
-            col = coords(sym, i, k, img, *ech.meta[j])
+            col = coords(sym, i, k, act(sym, i, k, row), *ech.meta[j])
             g = ech.scales[j]
             if col:
                 cols[j] = col if g == 1 else {r: Fraction(c, g) for r, c in col.items()}

@@ -100,21 +100,24 @@ class TestWindowMechanics:
     def test_windowed_closures_build_no_ambient_column_outside_the_window(
         self, monkeypatch
     ):
-        columns, matrix = GtModule.columns, GtModule.matrix
+        column_maker, matrix = GtModule.column_maker, GtModule.matrix
         built, whole = [], []
 
-        def columns_spy(self, sym, i, k, support):
-            cols = columns(self, sym, i, k, support)
-            if self.floor is not None:
-                built.extend((self, j) for j in cols)
-            return cols
+        def column_maker_spy(self, sym, i, k):
+            make = column_maker(self, sym, i, k)
+
+            def spy(j):
+                built.append((self, j))
+                return make(j)
+
+            return spy
 
         def matrix_spy(self, sym, i, k):
             if self.floor is not None and self._column is not None:
                 whole.append((sym, i, k))
             return matrix(self, sym, i, k)
 
-        monkeypatch.setattr(GtModule, "columns", columns_spy)
+        monkeypatch.setattr(GtModule, "column_maker", column_maker_spy)
         monkeypatch.setattr(GtModule, "matrix", matrix_spy)
         module_store.cache_clear()
         fusion_character(3, 2, (1, 1, 1))
