@@ -44,6 +44,7 @@ from .modules import (
     GradedCharacter,
     GtModule,
     _fusion_of_simples,
+    _window_floor,
     apply_word,
     cyclic_submodule,
     default_points,
@@ -125,6 +126,7 @@ def _rect_demazure(n, ell, lam, points, floor):
         raise ValueError("weight must be divisible by the level")
     mu = tuple(c // ell for c in lam)
     points = _column_points(mu, points)
+    floor = _window_floor(lam, floor)
     # a full build calls local_weyl itself, so a traced run sees the call
     if ell == 1 and floor is None:
         return local_weyl(n, mu, points)

@@ -18,11 +18,12 @@ homogeneous for some label (a weight, or a weight-degree pair), and vectors
 with different labels have disjoint support, so the echelon basis keeps an
 independent pivot table per label.  Pivoting is deterministic: the pivot of
 a row is its smallest coordinate index, and the first nonzero column wins.
-While a closure runs, each block also keeps a fully reduced copy of its
-rows, so deciding membership takes one pass; the copy is released when
-the closure ends.  Each label carries the dimension of its label space,
-and a block that reaches it is full: it accepts nothing more and needs
-no elimination.
+A block decides membership by a triangular sweep over its rows until
+it first rejects a vector; from then on, while the closure runs, it
+keeps a fully reduced copy of its rows, so a decision takes one pass.
+The copy is released when the closure ends.  Each label carries the
+dimension of its label space, and a block that reaches it is full: it
+accepts nothing more and needs no elimination.
 """
 
 from __future__ import annotations
@@ -150,20 +151,25 @@ class Echelon:
     vector; only rows with the same label are ever combined.  capacity
     maps every label to the dimension of its label space.
 
-    Membership (insert, reduce) is decided against a fully reduced copy
-    of each block: every reduced row is zero at each other pivot of its
-    block, so one pass over the pivots in v's own support clears them
-    all, each by the gcd-scaled integer step of _cancel.  An accepted
-    row w with pivot p and coefficient g rewrites each reduced row with
-    entry a at p as (g/d)·row - (a/d)·w, d = gcd(a, g), divided by its
-    content.  A reduced row shares its dict with rows[j] until a rewrite
-    replaces it; no stored row is mutated.
+    Membership (insert, reduce) is decided by the triangular sweep over
+    rows (_sweep) until the block first rejects a vector in insert.
+    The block then builds a fully reduced copy of its rows and decides
+    against it from then on: every reduced row is zero at each other
+    pivot of its block, so one pass over the pivots in v's own support
+    clears them all, each by the gcd-scaled integer step of _cancel.
+    An accepted row w with pivot p and coefficient g rewrites each
+    reduced row with entry a at p as (g/d)·row - (a/d)·w, d = gcd(a, g),
+    divided by its content; the copy is built by that same step, row by
+    row in insertion order.  A reduced row shares its dict with rows[j]
+    until a rewrite replaces it; no stored row is mutated.  So a block
+    that never rejects pays for no copy, and one that rejects often
+    clears each candidate in one pass.
 
     The residual of v is v minus a span element that is zero at every
     pivot, so it is the same whichever basis of the block cleared it:
-    rows is what a triangular elimination would store.  coordinates
-    still runs that triangular sweep over rows, which needs no reduced
-    copy.
+    rows is what a triangular elimination would store, with or without
+    the copy.  coordinates always runs the triangular sweep, which
+    needs no reduced copy.
 
     A block whose pivot count reaches its capacity spans its label
     space: insert rejects and reduce clears every vector of it without
@@ -179,7 +185,9 @@ class Echelon:
         self.meta = []        # caller data per row, parallel to rows
         self.pivots = {}      # label -> {pivot index -> row number}
         self._order = {}      # label -> sorted list of pivot indices
-        self._reduced = {}    # label -> {pivot -> fully reduced row}; None once released
+        # label -> {pivot -> fully reduced row}, for the blocks that have
+        # rejected a vector and are not full; None once released
+        self._reduced = {}
 
     def __len__(self):
         return len(self.rows)
@@ -205,12 +213,11 @@ class Echelon:
         return {i: x.numerator * (L // x.denominator) for i, x in v.items()}, L
 
     def _block(self, label):
-        """The reduced copy of the label's block, or None if it is full."""
+        """The reduced copy of the label's block, or None while it has
+        none; raises once released."""
         if self._reduced is None:
             raise InvariantError("echelon reduced copy already released")
-        if self.full(label):
-            return None
-        return self._reduced.setdefault(label, {})
+        return self._reduced.get(label)
 
     @staticmethod
     def _eliminate(v, block, scale):
@@ -221,10 +228,10 @@ class Echelon:
             scale = _cancel(v, v.pop(p), row, p, row[p], scale)
         return scale
 
-    def _sweep(self, v, label, scale, coeffs):
+    def _sweep(self, v, label, scale, coeffs=None):
         """Triangular in-place elimination against rows; returns the final
-        scale and stores the exact basis coefficient of every row hit in
-        coeffs.
+        scale and, if coeffs is given, stores the exact basis coefficient
+        of every row hit in it.
 
         The vector represented is v/scale throughout.  A pivot is the
         minimum of its row's support, so cancelling at pivot p only
@@ -242,17 +249,42 @@ class Echelon:
             if c is None:
                 continue
             row_no = block[p]
-            coeffs[row_no] = c if scale == 1 else _canon(Fraction(c, scale))
+            if coeffs is not None:
+                coeffs[row_no] = c if scale == 1 else _canon(Fraction(c, scale))
             scale = _cancel(v, c, self.rows[row_no], p, self.scales[row_no], scale)
         return scale
+
+    def _clear(self, v, label, block, scale):
+        """Clear every pivot of the label's block from v, in place: one
+        pass against its reduced copy block, or the triangular sweep if
+        block is None.  Returns the final scale."""
+        if block is None:
+            return self._sweep(v, label, scale)
+        return self._eliminate(v, block, scale)
+
+    @staticmethod
+    def _extend(block, w, p):
+        """Add the accepted row w, pivot p, to the reduced copy block:
+        every reduced row with an entry at p is rewritten to clear it."""
+        g = w[p]
+        for q, row in block.items():
+            a = row.get(p)
+            if a is None:
+                continue
+            d = math.gcd(a, g)
+            new = dict(row) if g == d else {i: g // d * x for i, x in row.items()}
+            vec_iadd_scaled(new, w, -(a // d))
+            c = math.gcd(*new.values())
+            block[q] = new if c == 1 else {i: x // c for i, x in new.items()}
+        block[p] = w
 
     def reduce(self, v, label):
         """Eliminate every pivot position from v; returns the exact residual."""
         block = self._block(label)
-        if block is None:
+        if self.full(label):
             return {}
         w, scale = self._cleared(v)
-        scale = self._eliminate(w, block, scale)
+        scale = self._clear(w, label, block, scale)
         if scale == 1:
             return w
         return {i: _canon(Fraction(x, scale)) for i, x in w.items()}
@@ -261,13 +293,19 @@ class Echelon:
         """Reduce v and insert the residual if nonzero.
 
         Returns the new row number, or None if v was already in the span.
+        The first rejection in a block that is not full builds its
+        reduced copy.
         """
         block = self._block(label)
-        if block is None:
+        if self.full(label):
             return None
         w, _ = self._cleared(v)
-        self._eliminate(w, block, 1)
+        self._clear(w, label, block, 1)
         if not w:
+            if block is None:
+                block = self._reduced[label] = {}
+                for p, j in self.pivots.get(label, {}).items():  # insertion order
+                    self._extend(block, self.rows[j], p)
             return None
         content = math.gcd(*w.values())
         p = min(w)
@@ -282,19 +320,9 @@ class Echelon:
         self.pivots.setdefault(label, {})[p] = idx
         bisect.insort(self._order.setdefault(label, []), p)
         if self.full(label):
-            del self._reduced[label]
-            return idx
-        g = w[p]
-        for q, row in block.items():
-            a = row.get(p)
-            if a is None:
-                continue
-            d = math.gcd(a, g)
-            new = dict(row) if g == d else {i: g // d * x for i, x in row.items()}
-            vec_iadd_scaled(new, w, -(a // d))
-            c = math.gcd(*new.values())
-            block[q] = new if c == 1 else {i: x // c for i, x in new.items()}
-        block[p] = w
+            self._reduced.pop(label, None)
+        elif block is not None:
+            self._extend(block, w, p)
         return idx
 
     def coordinates(self, v, label):

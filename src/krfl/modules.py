@@ -35,7 +35,11 @@ to low.  Each stage, F^r/F^{r-1} or one degree of a graded module, is
 a g-module, so its weight multiplicities are W-invariant: once a stage
 holds as many rows at a non-dominant weight as at the dominant weight
 of its orbit, whose count is final by then, the lowering phase offers
-that weight no further candidate of the stage (see _close).
+that weight no further candidate of the stage (see _close).  In an
+ungraded closure the first such candidate fills the weight mu first:
+for mu_i = -p < 0, f_i^p ⊗ t^0 maps the stage's part at s_i mu onto
+its part at mu, so the images of the rows there reach the count at
+once, and the candidates are left only what the fill does not reach.
 cyclic_submodule and fusion_filtration differ only in the checks they
 make afterwards and in how _module_on_rows reads the rows.
 
@@ -44,7 +48,8 @@ degree of a fusion product or Demazure-type module is a g-module, so its
 dominant multiplicities fix it, and window_character builds only the
 weights at or above the lowest dominant weight of the highest weight's
 coset: the closure skips every lower target (_close) and builds only the
-ambient columns its rows touch (_row_pass).
+ambient columns its rows touch (_row_pass).  A module whose window holds
+all its weights is built whole, as its full build (_window_floor).
 
 A graded module is built once while it is stored.  fusion_of_simples
 and demazure.rect_demazure (level above one) take their module from
@@ -218,6 +223,23 @@ def _row_pass(m):
     return act if m.floor is None else act_windowed
 
 
+def _reflection_fill(ech, act, rows, i, power, label, meta):
+    """Insert f_i^power (t^0, through act) of each of the given rows
+    under label and meta; returns the accepted row numbers."""
+    accepted = []
+    for j in rows:
+        img = ech.rows[j]
+        for _ in range(power):
+            img = act("f", i, 0, img)
+            if not img:
+                break
+        if img:
+            new = ech.insert(img, label, meta)
+            if new is not None:
+                accepted.append(new)
+    return accepted
+
+
 def _close(m, ech, rows, gens, act):
     """Close the span of ech under gens, starting from the given rows;
     returns the accepted row numbers.
@@ -248,20 +270,41 @@ def _close(m, ech, rows, gens, act):
     same blocks at every tag, so its counts are not stage dimensions
     and nothing is skipped.
 
+    Reflection fill.  In an ungraded ambient under the stage skip, the
+    first tag-r candidate aimed at a non-dominant mu first fills the
+    stage's mu-part by a Weyl reflection (_reflection_fill).  Take the
+    i with mu_i = -p < 0 and p least, and mu' = s_i mu = mu + p alpha_i,
+    of h(mu) + 2p, so the rows of tag r at mu' are final.  In the
+    stage, a g-module, the sl_2 of node i maps the mu'-part onto the
+    mu-part by f_i^p, an isomorphism since <mu', alpha_i^vee> = p.  So
+    f_i^p ⊗ t^0 of the rows of tag r at mu', all in F^r, span F^r at mu
+    together with the rows of lower tag, c(mu, r) reaches c(mu', r) =
+    c(dominant_rep(mu), r), and the skip discards every later tag-r
+    candidate aimed at mu.  Should the fill fall short, nothing is
+    skipped and the candidates complete the part as before.  A graded
+    ambient stays on candidates: reflected rows there made the module's
+    matrix entries Fraction-valued and its check_axioms slower.
+
     Window.  If m.floor is set, a generator whose target weight is not
     ≥ floor is not applied.  Every generator lowers or raises by a
     simple root, so a row at a weight ≥ floor comes from rows at weights
     ≥ floor alone, and the rows of each window weight are those of the
-    full closure.
+    full closure; a reflection from mu ≥ floor passes only weights
+    between mu and mu', all ≥ floor.
     """
     floor = m.floor
     groups = {}
     for sym, i, k in gens:
         groups.setdefault(k, []).append((sym, i, _shift(m.rank, sym, i)))
     stage = all(sym == "f" for sym, _, _ in gens) and (m.graded or len(ech) == 1)
-    count = Counter(ech.meta)  # (weight, tag) -> rows stored
+    fill = stage and not m.graded
+    members = {}  # (weight, tag) -> row numbers stored
+    for j, meta in enumerate(ech.meta):
+        members.setdefault(meta, []).append(j)
+    filled = set()  # (weight, tag) filled by reflection
     targets = {}  # (source weight, t-power) -> [(sym, i, weight, dominant rep)]
     heap = []
+    accepted = []
 
     def queue(j):
         wt, tag = ech.meta[j]
@@ -269,9 +312,13 @@ def _close(m, ech, rows, gens, act):
         for k in groups:
             heapq.heappush(heap, (tag + k, -h, j, k))
 
+    def accept(new):
+        accepted.append(new)
+        members.setdefault(ech.meta[new], []).append(new)
+        queue(new)
+
     for j in rows:
         queue(j)
-    accepted = []
     while heap:
         tag, _, j, k = heapq.heappop(heap)
         row, wt = ech.rows[j], ech.meta[j][0]
@@ -289,15 +336,23 @@ def _close(m, ech, rows, gens, act):
             if ech.full(label):
                 continue
             meta = (wt2, tag)
-            if stage and dom is not None and count[meta] >= count[(dom, tag)]:
-                continue
+            if stage and dom is not None:
+                if fill and meta not in filled:
+                    filled.add(meta)
+                    power, node = min((-c, a) for a, c in enumerate(wt2, 1) if c < 0)
+                    up = weight_scale(power, simple_root(m.rank, node))
+                    sources = members.get((weight_add(wt2, up), tag), ())
+                    for new in _reflection_fill(
+                        ech, act, sources, node, power, label, meta
+                    ):
+                        accept(new)
+                if len(members.get(meta, ())) >= len(members.get((dom, tag), ())):
+                    continue
             img = act(sym, i, k, row)
             if img:
                 new = ech.insert(img, label, meta)
                 if new is not None:
-                    accepted.append(new)
-                    count[meta] += 1
-                    queue(new)
+                    accept(new)
     return accepted
 
 
@@ -769,10 +824,21 @@ def fusion_of_simples(n, lams, points) -> GtModule:
     return _fusion_of_simples(n, lams, points, None)
 
 
+def _window_floor(top, floor):
+    """floor, or None if the window at floor holds every weight of a
+    module with highest weight top: its lowest weight w0 top, and so
+    every weight, is ≥ floor.  The module is then built and stored
+    whole, as the full build of the same call."""
+    if floor is None or dominates(tuple(-c for c in reversed(top)), floor):
+        return None
+    return floor
+
+
 def _fusion_of_simples(n, lams, points, floor):
     """fusion_of_simples, or with a floor its windowed part, stored under
     a key of its own."""
     lams = tuple(integral_weight(lam) for lam in lams)
+    floor = _window_floor(tuple(map(sum, zip(zero_weight(n), *lams))), floor)
     points = tuple(Fraction(z) for z in points)
     if not lams:
         raise ValueError("at least one factor required")

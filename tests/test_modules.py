@@ -493,6 +493,8 @@ def _close_every_basis_vector(m):
 CLOSURE_ROUTES = {
     "fusion_product": lambda: fusion_product(2, 1, (2, 1), points=(3, 5)),
     "fusion_product_rank3": lambda: fusion_product(3, 2, (1, 1), points=(3, 5)),
+    # weights such as (0, 0, -3): reflection fills of powers 2 and 3
+    "fusion_product_rank3_node1": lambda: fusion_product(3, 1, (2, 1), points=(3, 5)),
     "local_weyl": lambda: local_weyl(2, (1, 1), points=(3, 5)),
     "rect_demazure_level2": lambda: rect_demazure(2, 2, (2, 2), points=(3, 5)),
     "gen_demazure": lambda: gen_demazure(2, 1, (2, 1)),
@@ -560,6 +562,94 @@ class TestReferenceClosure:
             assert Character(Counter(out.weights)) == Character(collapsed)
         if route.endswith("non_highest"):
             assert any(borel for *_, borel in seen)
+
+
+class TestReflectionFill:
+    """In an ungraded closure from its generator, the first candidate of
+    a stage aimed at a non-dominant weight mu first fills mu by f_i^p of
+    the stage's rows at s_i mu; the stage skip then discards the rest."""
+
+    def test_no_rejected_insert_at_a_non_dominant_weight(self, monkeypatch):
+        insert = Echelon.insert
+        calls, rejected = [], []
+
+        def spy(self, v, label, meta=None):
+            new = insert(self, v, label, meta)
+            calls.append(meta)
+            if new is None and not is_dominant(meta[0]):
+                rejected.append(meta)
+            return new
+
+        module_store.cache_clear()
+        simple_gmodule.cache_clear()
+        monkeypatch.setattr(Echelon, "insert", spy)
+        assert local_weyl(3, (2, 1, 1)).dim == 384
+        assert any(not is_dominant(wt) for wt, _ in calls)
+        assert rejected == []
+
+    def test_fills_of_power_two_and_three_run(self, monkeypatch):
+        fill = krfl.modules._reflection_fill
+        rows = Counter()  # power -> rows the fills of that power added
+
+        def spy(ech, act, sources, i, power, label, meta):
+            new = fill(ech, act, sources, i, power, label, meta)
+            rows[power] += len(new)
+            return new
+
+        monkeypatch.setattr(krfl.modules, "_reflection_fill", spy)
+        module_store.cache_clear()
+        CLOSURE_ROUTES["fusion_product_rank3_node1"]()
+        assert rows[1] and rows[2] and rows[3]
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: local_weyl(3, (2, 1, 1)),
+            CLOSURE_ROUTES["fusion_product_rank3_node1"],
+            lambda: fusion_character(3, 2, (1, 1, 1)),
+        ],
+    )
+    def test_candidates_complete_what_the_fill_leaves(self, build, monkeypatch):
+        # with the fill adding nothing, the candidates give the same rows
+        # per (weight, tag) in every closure, and the same character
+        closure = krfl.modules._closure
+
+        def run():
+            seen = []
+
+            def spy(m, vec):
+                ech, borel = closure(m, vec)
+                seen.append(Counter(ech.meta))
+                return ech, borel
+
+            monkeypatch.setattr(krfl.modules, "_closure", spy)
+            module_store.cache_clear()
+            simple_gmodule.cache_clear()
+            out = build()
+            return seen, out if isinstance(out, GradedCharacter) else graded_character(out)
+
+        filled = run()
+        skipped = []
+        monkeypatch.setattr(
+            krfl.modules, "_reflection_fill", lambda *args: skipped.append(args) or []
+        )
+        assert run() == filled
+        assert skipped
+
+    def test_graded_closures_keep_integral_matrices(self):
+        # a graded ambient stays on candidates, whose rows keep the
+        # coordinates of every image integral
+        m = rect_demazure(3, 2, (0, 4, 0))
+        entries = [
+            c
+            for sym in "efh"
+            for i in range(1, 4)
+            for k in range(m.trunc + 1)
+            for col in m.matrix(sym, i, k).values()
+            for _, c in col
+        ]
+        assert len(entries) > m.dim
+        assert all(type(c) is int for c in entries)
 
 
 class TestModuleStore:

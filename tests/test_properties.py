@@ -89,14 +89,34 @@ def _reference_rows(inserted):
 
 @settings(max_examples=40, deadline=None)
 @given(block_vectors(10), block_vectors(4))
+@example(
+    # block 0 rejects its second vector and builds its reduced copy,
+    # which the next two accepted rows rewrite; block 1 never rejects
+    [
+        ({3: ONE, 6: Fraction(2)}, 0),
+        ({3: Fraction(-1, 2), 6: -ONE}, 0),
+        ({0: ONE, 3: Fraction(3)}, 0),
+        ({6: Fraction(5), 9: ONE}, 0),
+        ({1: Fraction(1, 2), 4: Fraction(3)}, 1),
+    ],
+    [({0: ONE, 6: ONE}, 0)],
+)
 def test_echelon_coordinates_reduce_and_insert_agree(inserted, probes):
     ech = Echelon(CAPACITY)
+    rejected = set()  # labels that rejected a vector while not full
     for vec, label in inserted:
         residual = ech.reduce(vec, label)
+        full = ech.full(label)
         row = ech.insert(vec, label)
         assert (row is None) == (residual == {})
+        if row is None and not full:
+            rejected.add(label)
         assert ech.full(label) == (len(ech.pivots.get(label, ())) == CAPACITY[label])
     assert (ech.rows, ech.scales) == _reference_rows(inserted)
+    for label in CAPACITY:
+        if not ech.full(label):
+            # a block keeps a reduced copy from its first rejection on
+            assert (label in ech._reduced) == (label in rejected)
     for label in CAPACITY:
         if ech.full(label):
             # a full block keeps no reduced rows and rejects every vector
