@@ -838,7 +838,6 @@ def _fusion_of_simples(n, lams, points, floor):
     """fusion_of_simples, or with a floor its windowed part, stored under
     a key of its own."""
     lams = tuple(integral_weight(lam) for lam in lams)
-    floor = _window_floor(tuple(map(sum, zip(zero_weight(n), *lams))), floor)
     points = tuple(Fraction(z) for z in points)
     if not lams:
         raise ValueError("at least one factor required")
@@ -846,6 +845,7 @@ def _fusion_of_simples(n, lams, points, floor):
         raise ValueError("one point per factor required")
     if len(set(points)) != len(points):
         raise ValueError("points must be pairwise distinct")
+    floor = _window_floor(tuple(map(sum, zip(*lams))), floor)
 
     def build():
         factors = [
