@@ -9,16 +9,16 @@ trunc = 0, so only the t^0 generators, the Chevalley generators of the
 finite simple Lie algebra, act on it.
 
 Action matrices are produced on demand by a construction-specific
-builder and cached.  One rule, fixed by the call site, picks the form
-of the action.  Work on a single vector (the Borel phase of a closure,
-relation words, root vectors, the action of a subquotient) goes
-through act, which uses the cached matrix if there is one and the
-module's vector-level action otherwise; a tensor product moves the
-factor images of the vector's coordinates into place and builds no
-matrix of its own.  A pass over every row (the lowering closures, the
-truncation check, a subquotient matrix) reads matrix once per
-generator and applies it row by row.  So neither the Borel phase nor
-a relation word builds a matrix of an ambient tensor product.
+builder and cached; matrix builds a whole one only when a caller asks
+for it (check_axioms, the factors of a tensor product).  A tensor
+product acts through its column store instead: act reads each column
+of the vector's support from a cache (sym, i, k) -> {index: column}
+and builds a missing one once, alone.  Single vectors (the Borel
+phase, relation words, root vectors) and passes over every row (the
+lowering closures, the truncation check, a subquotient matrix) take
+that one path, so no whole ambient matrix is built.  Any other module
+acts on one vector through its cached matrix or its vector-level
+action, and a pass over every row reads its matrix (_row_pass).
 
 Vectors are sparse dicts in the module's own coordinates.  Every basis
 element is weight homogeneous (and degree homogeneous in the graded
@@ -47,9 +47,9 @@ A graded character can be had from a part of the module alone.  Every
 degree of a fusion product or Demazure-type module is a g-module, so its
 dominant multiplicities fix it, and window_character builds only the
 weights at or above the lowest dominant weight of the highest weight's
-coset: the closure skips every lower target (_close) and builds only the
-ambient columns its rows touch (_row_pass).  A module whose window holds
-all its weights is built whole, as its full build (_window_floor).
+coset: the closure skips every lower target (_close), so its ambient
+builds no column outside the window.  A module whose window holds all
+its weights is built whole, as its full build (_window_floor).
 
 A graded module is built once while it is stored.  fusion_of_simples
 and demazure.rect_demazure (level above one) take their module from
@@ -198,29 +198,12 @@ def _lowering_gens(rank, powers):
 
 
 def _row_pass(m):
-    """The action for a pass over every row: each generator's matrix is
-    read (and built, if need be) once and applied row by row.  A windowed
-    module builds instead only the columns of the rows it acts on, each
-    once per pass (GtModule.column_maker); they go when the pass ends."""
-    mats = {}
-
-    def act(sym, i, k, vec):
-        key = (sym, i, k)
-        if key not in mats:
-            mats[key] = m.matrix(*key)
-        return mat_apply(mats[key], vec)
-
-    def act_windowed(sym, i, k, vec):
-        key = (sym, i, k)
-        if key not in mats:
-            mats[key] = ({}, m.column_maker(*key))
-        cols, make = mats[key]
-        for j in vec:
-            if j not in cols:
-                cols[j] = tuple((r, _canon(c)) for r, c in make(j).items() if c)
-        return mat_apply(cols, vec)
-
-    return act if m.floor is None else act_windowed
+    """The action for a pass over every row: a module with a column
+    builder acts through its column store (GtModule.act), building only
+    the columns the rows touch; any other module applies its matrix."""
+    if m._column is not None:
+        return m.act
+    return lambda sym, i, k, vec: mat_apply(m.matrix(sym, i, k), vec)
 
 
 def _reflection_fill(ech, act, rows, i, power, label, meta):
@@ -386,12 +369,12 @@ class GtModule:
     graded modules return the zero matrix above it, evaluation-type
     modules can produce every power exactly from their points, and a
     module without either (a g-module) refuses every power above it.
-    apply, if given, is a vector-level action apply(sym, i, k, vec).
-    act, the path for work on one vector, uses it while the matrix is
-    not cached; a pass over every row reads matrix instead, which
-    builds and caches the whole matrix once.  column, if given, is
-    column(sym, i, k) -> make, with make(j) column j of that matrix as
-    a dict built alone.
+    column, if given, is column(sym, i, k) -> make, with make(j)
+    column j of that matrix as a dict built alone; such a module (a
+    tensor product) acts through its column store, _cols, which builds
+    each column once, on first touch.  Any other module acts through its
+    cached matrix, or while there is none through apply(sym, i, k, vec),
+    a vector-level action, if given.
 
     floor is None except inside the character builds of
     window_character, which set it on the ambient of a closure; the
@@ -422,6 +405,7 @@ class GtModule:
         self.cyclic_index = cyclic_index
         self._builder = builder
         self._mats = {}
+        self._cols = {}  # (sym, i, k) -> ({index: column}, make)
         self._apply_vec = apply
         self._column = column
         self.floor = floor
@@ -456,12 +440,8 @@ class GtModule:
         return self._mats[key]
 
     def column_maker(self, sym, i, k):
-        """make, with make(j) column j of matrix(sym, i, k) as a dict:
-        built alone if the module has a column builder, else read from
-        the matrix."""
-        if self._column is None or self._acts_by_zero(k):
-            mat = self.matrix(sym, i, k)
-            return lambda j: dict(mat.get(j, ()))
+        """make, with make(j) column j of matrix(sym, i, k) as a dict
+        built alone; for a module with a column builder."""
         return self._column(sym, i, k)
 
     def act(self, sym, i, k, vec):
@@ -469,10 +449,22 @@ class GtModule:
             raise ValueError("negative t-power")
         if not vec:
             return {}
-        mat = self._mats.get((sym, i, k))
-        if mat is None and self._apply_vec is not None:
-            return {} if self._acts_by_zero(k) else self._apply_vec(sym, i, k, vec)
-        return mat_apply(self.matrix(sym, i, k) if mat is None else mat, vec)
+        key = (sym, i, k)
+        if self._column is None:
+            mat = self._mats.get(key)
+            if mat is None and self._apply_vec is not None:
+                return {} if self._acts_by_zero(k) else self._apply_vec(sym, i, k, vec)
+            return mat_apply(self.matrix(*key) if mat is None else mat, vec)
+        if self._acts_by_zero(k):
+            return {}
+        store = self._cols.get(key)
+        if store is None:
+            store = self._cols[key] = ({}, self.column_maker(*key))
+        cols, make = store
+        for j in vec:
+            if j not in cols:
+                cols[j] = tuple((r, _canon(c)) for r, c in make(j).items() if c)
+        return mat_apply(cols, vec)
 
     def weight_of(self, vec):
         """The common weight of the support, or raise if mixed."""
@@ -573,26 +565,6 @@ def tensor_modules(ms) -> GtModule:
         make = column(sym, i, k)
         return mat_from_columns({flat: col for flat in flats if (col := make(flat))})
 
-    def apply(sym, i, k, vec):
-        """The coproduct action on one vector: each factor acts once on
-        each of its coordinates that occurs in vec."""
-        out = {}
-        for m, st, d in zip(ms, strides, dims):
-            images = {}
-            for flat, x in vec.items():
-                j = flat // st % d
-                img = images.get(j)
-                if img is None:
-                    img = images[j] = m.act(sym, i, k, {j: 1})
-                for r, c in img.items():
-                    dest = flats[flat + (r - j) * st]
-                    y = out.get(dest, 0) + x * c
-                    if y:
-                        out[dest] = y
-                    else:
-                        out.pop(dest, None)
-        return out
-
     if graded:
         trunc = max(m.trunc for m in ms)
         points = None
@@ -613,7 +585,6 @@ def tensor_modules(ms) -> GtModule:
         build,
         points=points,
         cyclic_index=cyclic,
-        apply=apply,
         column=column,
     )
     out.flat_index = index
@@ -649,26 +620,32 @@ def _lift(ech, part):
     return amb
 
 
-def _module_on_rows(m, ech, degrees, trunc, points, slot):
+def _module_on_rows(m, ech, degrees, trunc, points):
     """The module whose basis vector j is row j of ech, acted on through m.
 
-    ech.meta[j] is the (weight, tag) of row j; the tag is the degree of
-    a graded closure and the filtration degree in fusion_filtration, and
-    an ungraded cyclic submodule ignores it.  The image of a basis
+    ech.meta[j] is the (weight, tag) of row j.  The image of a basis
     vector of tag d under a ⊗ t^k is written in the rows of its block,
-    which must span it, and slot(coeffs, d + k) turns those coordinates
-    into the column of the new module: cyclic_submodule keeps them all,
-    fusion_filtration keeps its graded slot.  The action on one vector lifts it to m and
-    goes through m.act; a matrix reads m.matrix once and applies it to
-    every row (_row_pass).  Both closures end here, so the reduced copy
-    of ech is released.  The new module inherits m's floor: an image
-    below it is not computed and acts as zero.
+    which must span it.  Those coordinates are the column of the new
+    module, unless degrees (the tags) are given for an ungraded m: then
+    it is fusion_filtration's associated graded, and the column keeps the
+    rows of tag d + k, a row of higher tag raises, and for d + k > trunc,
+    the top tag, neither the image nor its coordinates are computed, as
+    both checks are vacuous there.  The action on one vector lifts it to
+    m and goes through m.act; a matrix acts on every row (_row_pass).
+    Both closures end here, so the reduced copy of ech and m's column
+    store are released, and a matrix build releases m's columns of its
+    generator.  The new module inherits m's floor: an image below it is
+    not computed and acts as zero.
     """
     ech.release()
+    m._cols.clear()
     floor = m.floor
+    graded_quotient = degrees is not None and not m.graded
 
-    def below(sym, i, wt):
-        """Whether images of weight wt fall below the floor."""
+    def zero(sym, i, k, wt, deg):
+        # an image known to vanish: above the top tag, or below the floor
+        if graded_quotient and deg + k > trunc:
+            return True
         if floor is None:
             return False
         return not dominates(weight_add(wt, _shift(m.rank, sym, i)), floor)
@@ -680,7 +657,11 @@ def _module_on_rows(m, ech, degrees, trunc, points, slot):
         coeffs, residual = ech.coordinates(img, _closure_label(m, wt2, deg + k))
         if residual:
             raise InvariantError("closure is not action stable")
-        return slot(coeffs, deg + k)
+        if not graded_quotient:
+            return coeffs
+        if any(degrees[r] > deg + k for r in coeffs):
+            raise InvariantError("filtration violated")
+        return {r: c for r, c in coeffs.items() if degrees[r] == deg + k}
 
     def apply(sym, i, k, vec):
         groups = {}
@@ -688,7 +669,7 @@ def _module_on_rows(m, ech, degrees, trunc, points, slot):
             groups.setdefault(ech.meta[j], {})[j] = c
         out = {}
         for (wt, deg), part in groups.items():
-            if not below(sym, i, wt):
+            if not zero(sym, i, k, wt, deg):
                 img = m.act(sym, i, k, _lift(ech, part))
                 vec_iadd_scaled(out, coords(sym, i, k, img, wt, deg), 1)
         return out
@@ -697,7 +678,7 @@ def _module_on_rows(m, ech, degrees, trunc, points, slot):
         act = _row_pass(m)
         cols = {}
         for j, row in enumerate(ech.rows):
-            if below(sym, i, ech.meta[j][0]):
+            if zero(sym, i, k, *ech.meta[j]):
                 continue
             # act on the integer row, which is scales[j] times basis vector
             # j, so the ambient action stays in int arithmetic
@@ -705,6 +686,7 @@ def _module_on_rows(m, ech, degrees, trunc, points, slot):
             g = ech.scales[j]
             if col:
                 cols[j] = col if g == 1 else {r: Fraction(c, g) for r, c in col.items()}
+        m._cols.pop((sym, i, k), None)  # the new module reads its matrix from now on
         return mat_from_columns(cols)
 
     return GtModule(
@@ -735,8 +717,8 @@ def _closure(m: GtModule, vec):
     the premise under which U(n⁻[t])·vec already is U(g[t])·vec.  For
     any other vec it yields U(b[t])·vec, so every weight vector is a
     valid input.  In a windowed m (m.floor set) the closure keeps to the
-    weights ≥ floor (_close) and reads only the columns of m its rows
-    touch (_row_pass).
+    weights ≥ floor (_close).  A tensor product m, full or windowed,
+    builds only the columns its rows touch (_row_pass).
     """
     if not vec:
         raise ValueError("cannot close the zero vector")
@@ -764,17 +746,17 @@ def cyclic_submodule(m: GtModule, vec) -> GtModule:
     if m.points is not None and not m.graded:
         _assert_truncation_sufficient(m, ech)
     degrees = [meta[1] for meta in ech.meta] if m.graded else None
-    return _module_on_rows(m, ech, degrees, m.trunc, m.points, lambda coeffs, d: coeffs)
+    return _module_on_rows(m, ech, degrees, m.trunc, m.points)
 
 
 def _assert_truncation_sufficient(m: GtModule, ech: Echelon):
+    act = _row_pass(m)
     for sym in "efh":
         for i in range(1, m.rank + 1):
             shift = _shift(m.rank, sym, i)
             for k in (m.trunc + 1, m.trunc + 2):
-                mat = m.matrix(sym, i, k)
                 for row, meta in zip(ech.rows, ech.meta):
-                    if ech.reduce(mat_apply(mat, row), weight_add(meta[0], shift)):
+                    if ech.reduce(act(sym, i, k, row), weight_add(meta[0], shift)):
                         raise InvariantError("truncated generator set failed to close")
 
 
@@ -804,14 +786,7 @@ def fusion_filtration(m: GtModule, vec) -> GtModule:
         raise ValueError("vector is not cyclic")
 
     tags = [meta[1] for meta in ech.meta]
-
-    def slot(coeffs, d):
-        """Truncate an image of degree d to F^d/F^{d-1}."""
-        if any(tags[r] > d for r in coeffs):
-            raise InvariantError("filtration violated")
-        return {r: c for r, c in coeffs.items() if tags[r] == d}
-
-    return _module_on_rows(m, ech, tags, max(tags), None, slot)
+    return _module_on_rows(m, ech, tags, max(tags), None)
 
 
 def default_points(p: int):
@@ -1033,16 +1008,19 @@ def apply_word(m: GtModule, vec, word):
 
 
 def _check_homogeneous(rank, weights, degrees, sym, i, k, mat, report):
+    """Report mat's first break of weight or degree homogeneity; returns
+    whether there was none."""
     shift = _shift(rank, sym, i)
     for col, entries in mat.items():
         want = weight_add(weights[col], shift)
         for row, _ in entries:
             if weights[row] != want:
                 report.append(f"{sym}_{i} t^{k} breaks weight homogeneity")
-                return
+                return False
             if degrees is not None and degrees[row] != degrees[col] + k:
                 report.append(f"{sym}_{i} t^{k} breaks degree homogeneity")
-                return
+                return False
+    return True
 
 
 def check_axioms(m: GtModule) -> list:
@@ -1064,22 +1042,37 @@ def check_axioms(m: GtModule) -> list:
     target a x_j t^q of an h-bracket is scaled once per (x, j, q, a); an h-h,
     e-e or f-f identity whose mirror [x_j t^s, x_i t^r] came first takes
     its verdict, as both of its sides are minus the mirror's.
+
+    Nor is a bracket computed that the first two checks prove: if
+    h_i t^0 is the weight diagonal and x_j t^s (x in e, f, h) shifts
+    weights by beta, [h_i t^0, x_j t^s] is exactly <beta, alpha_i^vee>
+    x_j t^s, the identity's right side (a, -a or 0 times x_j t^s), so it
+    and its h-h mirror hold, and the report is the same on every input.
     """
     report = []
     n = m.rank
     cart = cartan_matrix(n)
     kmax = m.trunc
     mat = m.matrix
+    diagonal = set()  # i with h_i t^0 the weight diagonal
     for i in range(1, n + 1):
         diag = mat_from_columns({j: {j: w[i - 1]} for j, w in enumerate(m.weights)})
-        if mat("h", i, 0) != diag:
+        if mat("h", i, 0) == diag:
+            diagonal.add(i)
+        else:
             report.append(f"h_{i} is not the weight diagonal")
+    homogeneous = set()  # (sym, i, k) of the homogeneous generators
     for sym in "efh":
         for i in range(1, n + 1):
             for k in range(kmax + 1):
-                _check_homogeneous(
+                if _check_homogeneous(
                     n, m.weights, m.degrees, sym, i, k, mat(sym, i, k), report
-                )
+                ):
+                    homogeneous.add((sym, i, k))
+
+    def proven(i, r, sym, j, s):
+        """Whether [h_i t^r, x_j t^s] is proven by the checks above."""
+        return r == 0 and i in diagonal and (sym, j, s) in homogeneous
     failed = set()  # (sym, i, j, r, s) of the failed same-family brackets
     scaled = {}  # (sym, j, q, c) -> c x_j t^q, the h-bracket targets
 
@@ -1098,17 +1091,21 @@ def check_axioms(m: GtModule) -> list:
                     want = mat("h", i, r + s) if i == j else {}
                     if mat_bracket(mat("e", i, r), mat("f", j, s)) != want:
                         report.append(f"[e_{i} t^{r}, f_{j} t^{s}] wrong")
-                    want = scale("e", j, r + s, a)
-                    if mat_bracket(mat("h", i, r), mat("e", j, s)) != want:
-                        report.append(f"[h_{i} t^{r}, e_{j} t^{s}] wrong")
-                    want = scale("f", j, r + s, -a)
-                    if mat_bracket(mat("h", i, r), mat("f", j, s)) != want:
-                        report.append(f"[h_{i} t^{r}, f_{j} t^{s}] wrong")
+                    for sym, c in (("e", a), ("f", -a)):
+                        if proven(i, r, sym, j, s):
+                            continue
+                        want = scale(sym, j, r + s, c)
+                        if mat_bracket(mat("h", i, r), mat(sym, j, s)) != want:
+                            report.append(f"[h_{i} t^{r}, {sym}_{j} t^{s}] wrong")
                     for sym in "hef":
                         if (j, s) <= (i, r):
                             # both sides are minus those of the mirror
                             # [x_j t^s, x_i t^r], checked before (or x = y)
                             wrong = (sym, j, i, s, r) in failed
+                        elif sym == "h" and (
+                            proven(i, r, "h", j, s) or proven(j, s, "h", i, r)
+                        ):
+                            wrong = False
                         elif sym == "h" or j != i + 1:
                             wrong = bool(mat_bracket(mat(sym, i, r), mat(sym, j, s)))
                         elif s == 0:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import sys
@@ -19,6 +20,7 @@ from krfl.linalg import Echelon, mat_from_columns, mat_scale
 from krfl.modules import (
     STORE_BUDGET,
     GradedCharacter,
+    GtModule,
     apply_word,
     check_axioms,
     cyclic_submodule,
@@ -210,8 +212,8 @@ class TestCurrentTensor:
         assert graded_character(fusion_filtration(nested, top_vec(nested))) == want
 
     def test_relation_check_builds_only_lowering_matrices(self):
-        # the Borel phase and the relation words act on single vectors,
-        # so only the lowering closure may build ambient matrices
+        # the closure and the relation words act through the ambient's
+        # column store, so no whole ambient matrix is built
         lams = [(1, 0), (1, 0), (0, 1)]
         amb = tensor_modules(
             [evaluation_module(simple_gmodule(2, lam), z) for z, lam in enumerate(lams)]
@@ -219,8 +221,7 @@ class TestCurrentTensor:
         fus = fusion_filtration(amb, top_vec(amb))
         assert fus.dim == 27
         assert check_demazure_relations(fus, {0: ONE}, 1, (2, 1)) == []
-        assert amb._mats
-        assert {sym for sym, _, _ in amb._mats} == {"f"}
+        assert not amb._mats
 
     def test_no_candidate_targets_a_full_weight_space(self, monkeypatch):
         # once the closure spans a weight space of the ambient, no further
@@ -280,6 +281,145 @@ class TestCurrentTensor:
         b = evaluation_module(simple_gmodule(2, (0, 1)), 1)
         t = tensor_modules([a, b])
         assert t.weight_of(top_vec(t)) == (1, 1)
+
+
+# the ambient of local_weyl(3, (2, 1, 1)): 384 dimensions
+LOCAL_WEYL_211 = [(1, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
+
+
+class TestColumnStore:
+    """A tensor product acts through columns built on first touch."""
+
+    def test_closures_build_no_whole_tensor_matrix(self, monkeypatch):
+        matrix = GtModule.matrix
+        whole = []
+
+        def spy(self, sym, i, k):
+            if self._column is not None:
+                whole.append((self.dim, sym, i, k))
+            return matrix(self, sym, i, k)
+
+        monkeypatch.setattr(GtModule, "matrix", spy)
+        module_store.cache_clear()
+        simple_gmodule.cache_clear()
+        local_weyl(3, (2, 1, 1))
+        rect_demazure(3, 2, (0, 4, 0))
+        gen_demazure(3, 1, (2, 2, 1))
+        module_store.cache_clear()
+        assert whole == []
+
+    def test_lowering_with_t_builds_fewer_columns_than_the_ambient(
+        self, monkeypatch
+    ):
+        amb = _eval_tensor(LOCAL_WEYL_211)
+        column_maker = GtModule.column_maker
+        built = Counter()
+
+        def spy(self, sym, i, k):
+            make = column_maker(self, sym, i, k)
+
+            def count(j):
+                if self is amb:
+                    built[sym, i, k] += 1
+                return make(j)
+
+            return count
+
+        monkeypatch.setattr(GtModule, "column_maker", spy)
+        fus = fusion_filtration(amb, top_vec(amb))
+        assert graded_character(fus) == graded_character(local_weyl(3, (2, 1, 1)))
+        with_t = {key: c for key, c in built.items() if key[2] >= 1}
+        assert {sym for sym, _, _ in built} == {"f"}
+        assert {(i, k) for _, i, k in with_t} == {
+            (i, k) for i in (1, 2, 3) for k in (1, 2, 3)
+        }
+        assert max(with_t.values()) < amb.dim == 384
+
+    def test_store_is_empty_after_each_closure(self):
+        amb = _eval_tensor(LOCAL_WEYL_211)
+        fusion_filtration(amb, top_vec(amb))
+        windowed = _eval_tensor(LOCAL_WEYL_211)
+        windowed.floor = (0, 1, 0)
+        fusion_filtration(windowed, top_vec(windowed))
+        base = local_weyl(2, (1, 1))
+        graded = tensor_modules([base, base])
+        cyclic_submodule(graded, top_vec(graded))
+        for m in (amb, windowed, graded):
+            assert m._cols == {}
+            assert m._mats == {}
+
+    def test_matrix_build_releases_the_ambient_columns_it_read(self):
+        amb = _eval_tensor([(1, 0), (1, 0), (0, 1)])
+        fus = fusion_filtration(amb, top_vec(amb))
+        assert fus.act("f", 1, 1, top_vec(fus))  # one vector, through amb
+        fus.act("e", 2, 0, {fus.dim - 1: ONE})
+        assert set(amb._cols) == {("f", 1, 1), ("e", 2, 0)}
+        fus.matrix("f", 1, 1)
+        assert set(amb._cols) == {("e", 2, 0)}
+
+    def test_fusion_computes_no_image_above_the_top_degree(self, monkeypatch):
+        amb = _eval_tensor([(1, 0), (1, 0), (0, 1)])
+        fus = fusion_filtration(amb, top_vec(amb))
+        top = fus.top_degree()
+        acted = []
+
+        def spy(sym, i, k, vec):
+            acted.append(k)
+            return GtModule.act(amb, sym, i, k, vec)
+
+        monkeypatch.setattr(amb, "act", spy)
+        # one vector: a row of degree d under t^k, d + k > top, is not lifted
+        for j, d in enumerate(fus.degrees):
+            for k in range(top - d + 1, fus.trunc + 1):
+                assert fus.act("f", 1, k, {j: ONE}) == {}
+        assert acted == []
+        # a matrix: one ambient image per row of degree ≤ top - k
+        for k in range(fus.trunc + 1):
+            fus.matrix("e", 2, k)
+            assert len(acted) == sum(d + k <= top for d in fus.degrees)
+            acted.clear()
+
+
+# sha256 of the e/f/h matrices at t^0..t^trunc (digest_of_matrices), as
+# the engine wrote them before tensor products acted through columns
+MATRIX_DIGESTS = {
+    "local_weyl(3,(2,1,1))": (
+        lambda: local_weyl(3, (2, 1, 1)),
+        "bb09aedcdc4639df40d73a632d969ad7fce41bd60f492d15eadd76ffab4e50d0",
+    ),
+    "fusion_product(3,1,(2,2,1))": (
+        lambda: fusion_product(3, 1, (2, 2, 1)),
+        "a1a29fd159409b56c5ddabfe05c2aa235ca52b5bc3398eea8b8f0d5ba08c6d39",
+    ),
+    "fusion_product(3,2,(2,1,1))": (
+        lambda: fusion_product(3, 2, (2, 1, 1)),
+        "bf1bf4022bc1ce0d36a34eb801cea23e6c158606ff02d901a201bdd1811c2108",
+    ),
+    "rect_demazure(3,2,(0,4,0))": (
+        lambda: rect_demazure(3, 2, (0, 4, 0)),
+        "f0e83a0497271c77c46543a1dfd2fc29d18af9cf2e18c22f7c629a7d731d2708",
+    ),
+    "gen_demazure(3,1,(2,2,1))": (
+        lambda: gen_demazure(3, 1, (2, 2, 1)),
+        "be17f8ff08d65cdc5bec78ca28efc52258baebf76aefa3e2a85030f3ff1cc50e",
+    ),
+}
+
+
+def digest_of_matrices(m):
+    h = hashlib.sha256()
+    for sym in "efh":
+        for i in range(1, m.rank + 1):
+            for k in range(m.trunc + 1):
+                mat = sorted(m.matrix(sym, i, k).items())
+                h.update(repr((sym, i, k, mat)).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(MATRIX_DIGESTS))
+def test_module_matrices_are_pinned(case):
+    build, want = MATRIX_DIGESTS[case]
+    assert digest_of_matrices(unshared(build)) == want
 
 
 class TestCyclicSubmodule:
@@ -914,6 +1054,66 @@ AXIOM_CORRUPTIONS = {
 }
 
 
+CORRUPTION_BUILDS = [
+    lambda: fundamental_gmodule(2, 1),
+    lambda: _evaluation_tensor(2, (1, 0), (0, 1)),
+    lambda: fusion_product(2, 1, (1, 1)),
+    lambda: fusion_product(1, 1, (2, 1)),
+]
+
+
+def _randomly_corrupted(seed):
+    """A module of CORRUPTION_BUILDS with one stored matrix (up to t^trunc,
+    or one above the top degree of a graded module) scaled, missing a
+    column, or with one added to a random entry; all chosen by seed."""
+    rng = random.Random(seed)
+    m = unshared(rng.choice(CORRUPTION_BUILDS))
+    top = m.trunc + (1 if m.graded else 0)
+    key = (rng.choice("efh"), rng.randint(1, m.rank), rng.randint(0, top))
+    cols = {c: dict(col) for c, col in m.matrix(*key).items()}
+    kind = rng.choice(["scale", "drop", "add"])
+    if kind == "scale":
+        bad = mat_scale(m.matrix(*key), rng.choice([2, -1, Fraction(1, 2)]))
+    elif kind == "drop" and cols:
+        cols.pop(rng.choice(sorted(cols)))
+        bad = mat_from_columns(cols)
+    else:
+        c, r = rng.randrange(m.dim), rng.randrange(m.dim)
+        cols.setdefault(c, {})[r] = cols.get(c, {}).get(r, 0) + 1
+        bad = mat_from_columns(cols)
+    m._mats[key] = bad
+    return m
+
+
+# seed -> (number of messages, sha256 prefix of the report joined by newlines)
+RANDOM_CORRUPTION_REPORTS = {
+    0: (6, "031e063253fc6107"),
+    1: (6, "18c1a624dd288c82"),
+    2: (1, "db5b4f06a405526e"),
+    3: (11, "fb25e29bc6989239"),
+    4: (8, "2b6a120c7b9355d2"),
+    5: (0, "e3b0c44298fc1c14"),
+    6: (1, "6c3e04088dc4bb04"),
+    7: (0, "e3b0c44298fc1c14"),
+    8: (6, "78c29fdecf335a56"),
+    9: (4, "3eaf5b6f218181be"),
+    10: (1, "6c3e04088dc4bb04"),
+    11: (5, "96faf25de293a30f"),
+    12: (4, "58d89304be4813e9"),
+    13: (0, "e3b0c44298fc1c14"),
+    14: (6, "a5b599dca4a45344"),
+    15: (6, "350c64c5412a91f0"),
+    16: (6, "2665a8f794005c7c"),
+    17: (2, "885c08e350db4e3d"),
+    18: (6, "132e4e0c81bab00e"),
+    19: (6, "a5b599dca4a45344"),
+    20: (10, "d4c16ea28eddcccd"),
+    21: (7, "b8f87a378ffc5db6"),
+    22: (6, "a7a3c853a837b15b"),
+    23: (1, "1b8e615fb89d83b5"),
+}
+
+
 class TestAxiomChecker:
     def test_detects_corrupted_table(self):
         m = fundamental_gmodule(2, 1)
@@ -977,6 +1177,40 @@ class TestAxiomChecker:
         top = m.top_degree()
         assert m.matrix("e", 1, top + 1) == {}
         assert m.matrix("f", 1, top + 1) == {}
+
+    @pytest.mark.parametrize("seed", sorted(RANDOM_CORRUPTION_REPORTS))
+    def test_random_corruption_report_is_pinned(self, seed):
+        """The report on one randomly corrupted matrix: its length and
+        sha256 prefix, as written before check_axioms skipped the
+        brackets its first two checks prove."""
+        report = check_axioms(_randomly_corrupted(seed))
+        digest = hashlib.sha256("\n".join(report).encode()).hexdigest()[:16]
+        assert (len(report), digest) == RANDOM_CORRUPTION_REPORTS[seed], report
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: fusion_product(2, 1, (2, 1)),
+            lambda: _evaluation_tensor(2, (1, 0), (0, 1, 2)),
+            lambda: simple_gmodule(3, (1, 0, 1)),
+        ],
+    )
+    def test_clean_module_brackets_no_h_at_t0(self, build, monkeypatch):
+        """h_i t^0 is the weight diagonal and every generator homogeneous,
+        so no bracket with h_i t^0 is computed."""
+        m = build()
+        h0 = {id(m.matrix("h", i, 0)) for i in range(1, m.rank + 1)}
+        bracket = krfl.modules.mat_bracket
+        with_h0 = []
+
+        def spy(a, b):
+            if id(a) in h0 or id(b) in h0:
+                with_h0.append((a, b))
+            return bracket(a, b)
+
+        monkeypatch.setattr(krfl.modules, "mat_bracket", spy)
+        assert check_axioms(m) == []
+        assert with_h0 == []
 
 
 class TestCrossChecks:
