@@ -203,6 +203,11 @@ class Echelon:
     @staticmethod
     def _cleared(v):
         """Integer copy of v and the factor it was scaled up by."""
+        for x in v.values():
+            if type(x) is not int:
+                break
+        else:
+            return dict(v), 1  # the common case: nothing to scan or convert
         L = 1
         for x in v.values():
             d = x.denominator

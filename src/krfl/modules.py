@@ -43,6 +43,15 @@ once, and the candidates are left only what the fill does not reach.
 cyclic_submodule and fusion_filtration differ only in the checks they
 make afterwards and in how _module_on_rows reads the rows.
 
+The weight arithmetic of a closure is cached for the whole process:
+_target gives a generator's target weight and its dominant
+representative, from _shift and the cached helpers of krfl.typea, and
+_module_on_rows, check_axioms and the truncation check read their target
+weights from it too.  All of these are pure functions of weights and
+return immutable values, so the caches change no row, candidate order
+or output; they only spare recomputing the same weights in every
+closure.
+
 A graded character can be had from a part of the module alone.  Every
 degree of a fusion product or Demazure-type module is a g-module, so its
 dominant multiplicities fix it, and window_character builds only the
@@ -136,6 +145,7 @@ def _module_store():
 module_store = _module_store()
 
 
+@lru_cache(maxsize=None)
 def _shift(rank, sym, i):
     """Weight shift of the generator: +alpha_i, -alpha_i, or 0."""
     if sym == "e":
@@ -143,6 +153,14 @@ def _shift(rank, sym, i):
     if sym == "f":
         return tuple(-x for x in simple_root(rank, i))
     return zero_weight(rank)
+
+
+@lru_cache(maxsize=None)
+def _target(wt, sym, i):
+    """The weight to which sym_i ⊗ t^k, any k, moves the weight wt, and
+    that weight's dominant representative, or None if it is dominant."""
+    wt2 = weight_add(wt, _shift(len(wt), sym, i))
+    return wt2, None if is_dominant(wt2) else dominant_rep(wt2)
 
 
 def fundamental_gmodule(n: int, i: int) -> GtModule:
@@ -278,14 +296,13 @@ def _close(m, ech, rows, gens, act):
     floor = m.floor
     groups = {}
     for sym, i, k in gens:
-        groups.setdefault(k, []).append((sym, i, _shift(m.rank, sym, i)))
+        groups.setdefault(k, []).append((sym, i))
     stage = all(sym == "f" for sym, _, _ in gens) and (m.graded or len(ech) == 1)
     fill = stage and not m.graded
     members = {}  # (weight, tag) -> row numbers stored
     for j, meta in enumerate(ech.meta):
         members.setdefault(meta, []).append(j)
     filled = set()  # (weight, tag) filled by reflection
-    targets = {}  # (source weight, t-power) -> [(sym, i, weight, dominant rep)]
     heap = []
     accepted = []
 
@@ -305,16 +322,10 @@ def _close(m, ech, rows, gens, act):
     while heap:
         tag, _, j, k = heapq.heappop(heap)
         row, wt = ech.rows[j], ech.meta[j][0]
-        aims = targets.get((wt, k))
-        if aims is None:
-            aims = targets[(wt, k)] = []
-            for sym, i, shift in groups[k]:
-                wt2 = weight_add(wt, shift)
-                if floor is not None and not dominates(wt2, floor):
-                    continue
-                dom = None if is_dominant(wt2) else dominant_rep(wt2)
-                aims.append((sym, i, wt2, dom))
-        for sym, i, wt2, dom in aims:
+        for sym, i in groups[k]:
+            wt2, dom = _target(wt, sym, i)
+            if floor is not None and not dominates(wt2, floor):
+                continue
             label = _closure_label(m, wt2, tag)
             if ech.full(label):
                 continue
@@ -648,12 +659,12 @@ def _module_on_rows(m, ech, degrees, trunc, points):
             return True
         if floor is None:
             return False
-        return not dominates(weight_add(wt, _shift(m.rank, sym, i)), floor)
+        return not dominates(_target(wt, sym, i)[0], floor)
 
     def coords(sym, i, k, img, wt, deg):
         if not img:
             return {}
-        wt2 = weight_add(wt, _shift(m.rank, sym, i))
+        wt2 = _target(wt, sym, i)[0]
         coeffs, residual = ech.coordinates(img, _closure_label(m, wt2, deg + k))
         if residual:
             raise InvariantError("closure is not action stable")
@@ -753,10 +764,9 @@ def _assert_truncation_sufficient(m: GtModule, ech: Echelon):
     act = _row_pass(m)
     for sym in "efh":
         for i in range(1, m.rank + 1):
-            shift = _shift(m.rank, sym, i)
             for k in (m.trunc + 1, m.trunc + 2):
                 for row, meta in zip(ech.rows, ech.meta):
-                    if ech.reduce(act(sym, i, k, row), weight_add(meta[0], shift)):
+                    if ech.reduce(act(sym, i, k, row), _target(meta[0], sym, i)[0]):
                         raise InvariantError("truncated generator set failed to close")
 
 
@@ -1007,12 +1017,11 @@ def apply_word(m: GtModule, vec, word):
     return out
 
 
-def _check_homogeneous(rank, weights, degrees, sym, i, k, mat, report):
+def _check_homogeneous(weights, degrees, sym, i, k, mat, report):
     """Report mat's first break of weight or degree homogeneity; returns
     whether there was none."""
-    shift = _shift(rank, sym, i)
     for col, entries in mat.items():
-        want = weight_add(weights[col], shift)
+        want = _target(weights[col], sym, i)[0]
         for row, _ in entries:
             if weights[row] != want:
                 report.append(f"{sym}_{i} t^{k} breaks weight homogeneity")
@@ -1066,7 +1075,7 @@ def check_axioms(m: GtModule) -> list:
         for i in range(1, n + 1):
             for k in range(kmax + 1):
                 if _check_homogeneous(
-                    n, m.weights, m.degrees, sym, i, k, mat(sym, i, k), report
+                    m.weights, m.degrees, sym, i, k, mat(sym, i, k), report
                 ):
                     homogeneous.add((sym, i, k))
 

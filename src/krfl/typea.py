@@ -7,6 +7,13 @@ fundamental weights is the inverse Cartan matrix.
 
 Weyl group elements are permutations of {1, ..., n+1}, stored as tuples
 perm[k-1] = image of k, acting on epsilon coordinates.
+
+height, dominant_rep, dominates and _orbit are lru_caches that live for
+the whole process, as the closures of krfl.modules ask them about the
+same few hundred weights many thousand times.  Each is a pure function
+of its weights, tuples of ints, and returns an immutable value (_orbit
+a tuple), so a cached answer is the one a fresh call computes and no
+caller can alter it.  cache_clear() empties each.
 """
 
 from __future__ import annotations
@@ -131,6 +138,7 @@ def is_dominant(lam) -> bool:
     return all(a >= 0 for a in lam)
 
 
+@lru_cache(maxsize=None)
 def height(lam) -> int:
     """2<lam, rho> = sum_i i(n+1-i) lam_i, an integer; lowering by a
     simple root lowers it by exactly 2."""
@@ -147,6 +155,7 @@ def lowest_dominant(lam) -> Weight:
     return fundamental_weight(n, r) if r else zero_weight(n)
 
 
+@lru_cache(maxsize=None)
 def dominates(mu, nu) -> bool:
     """Whether mu >= nu in the root order: mu - nu is a sum of positive
     roots.  With a the epsilon coordinates of mu - nu, its coefficient at
@@ -207,6 +216,7 @@ def weyl_act(p, lam) -> Weight:
     return from_avec(out)
 
 
+@lru_cache(maxsize=None)
 def dominant_rep(lam) -> Weight:
     """The dominant weight in the W-orbit of lam."""
     return from_avec(tuple(sorted(to_avec(lam), reverse=True)))
@@ -298,14 +308,15 @@ def _reach(start, steps):
     return seen
 
 
-def _orbit(mu):
-    """The W-orbit of the dominant weight mu: from mu, apply s_i wherever
-    the current weight has a positive i-th coordinate."""
+@lru_cache(maxsize=None)
+def _orbit(mu) -> tuple:
+    """The W-orbit of the dominant weight mu, as a tuple: from mu, apply
+    s_i wherever the current weight has a positive i-th coordinate."""
     n = len(mu)
-    return _reach(mu, lambda nu: (
+    return tuple(_reach(mu, lambda nu: (
         weight_sub(nu, weight_scale(c, simple_root(n, i)))
         for i, c in enumerate(nu, 1) if c > 0
-    ))
+    )))
 
 
 @lru_cache(maxsize=None)

@@ -12,6 +12,7 @@ from krfl import InvariantError
 from krfl.demazure import gen_demazure, local_weyl, rect_demazure
 from krfl.linalg import Echelon, mat_apply, mat_bracket, mat_from_columns
 from krfl.modules import (
+    _target,
     cyclic_submodule,
     evaluation_module,
     fundamental_gmodule,
@@ -20,6 +21,14 @@ from krfl.modules import (
     graded_character,
     simple_gmodule,
     tensor_modules,
+)
+from krfl.typea import (
+    _orbit,
+    dominant_rep,
+    dominates,
+    height,
+    weyl_act,
+    weyl_elements,
 )
 
 ONE = Fraction(1)
@@ -141,6 +150,127 @@ def test_echelon_coordinates_reduce_and_insert_agree(inserted, probes):
             ech.insert(vec, label)
         with pytest.raises(InvariantError):
             ech.reduce(vec, label)
+
+
+@st.composite
+def typed_block_vectors(draw, count, mixed):
+    """block_vectors with int values, or with mixed int and Fraction ones
+    (some of denominator one)."""
+    value = st.integers(-6, 6)
+    if mixed:
+        value = st.one_of(value, st.fractions(-4, 4, max_denominator=6))
+    out = []
+    for _ in range(draw(st.integers(1, count))):
+        label = draw(st.integers(0, BLOCKS - 1))
+        idx = draw(st.sets(st.sampled_from(range(label, SIZE, BLOCKS)), min_size=1))
+        vec = {i: x for i in idx if (x := draw(value))}
+        if vec:
+            out.append((vec, label))
+    return out
+
+
+class _GeneralEchelon(Echelon):
+    """An Echelon whose _cleared scans every vector for denominators."""
+
+    @staticmethod
+    def _cleared(v):
+        scale = math.lcm(*(x.denominator for x in v.values()))
+        return {i: x.numerator * (scale // x.denominator) for i, x in v.items()}, scale
+
+
+def _typed(vec):
+    return sorted((i, type(x), x) for i, x in vec.items())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.booleans().flatmap(
+    lambda mixed: st.tuples(typed_block_vectors(10, mixed), typed_block_vectors(4, mixed))
+))
+def test_integer_fast_path_of_cleared_matches_the_general_path(vectors):
+    """All-int vectors skip the denominator scan of Echelon._cleared;
+    insert, reduce and coordinates return exactly what the general path
+    returns, value types included, and no input is altered."""
+    inserted, probes = vectors
+    fast, general = Echelon(CAPACITY), _GeneralEchelon(CAPACITY)
+    for vec, label in inserted:
+        before = dict(vec)
+        assert _typed(fast.reduce(vec, label)) == _typed(general.reduce(vec, label))
+        assert fast.insert(vec, label) == general.insert(vec, label)
+        assert vec == before
+    assert (fast.rows, fast.scales) == (general.rows, general.scales)
+    for vec, label in inserted + probes:
+        (c1, r1), (c2, r2) = fast.coordinates(vec, label), general.coordinates(vec, label)
+        assert (_typed(c1), _typed(r1)) == (_typed(c2), _typed(r2))
+        w, scale = Echelon._cleared(vec)
+        assert w is not vec and (w, scale) == _GeneralEchelon._cleared(vec)
+
+
+weights = st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.integers(-4, 4), min_size=n, max_size=n).map(tuple)
+)
+
+
+def _plain_shift(n, sym, i):
+    """+alpha_i, -alpha_i or 0 from the Cartan matrix entries."""
+    sign = {"e": 1, "f": -1, "h": 0}[sym]
+    return tuple(sign * (2 if j == i else -1 if abs(j - i) == 1 else 0)
+                 for j in range(1, n + 1))
+
+
+def _plain_dominant(lam):
+    """Reflect at a negative coordinate until none is left."""
+    lam = list(lam)
+    while (i := next((i for i, c in enumerate(lam, 1) if c < 0), None)) is not None:
+        c = lam[i - 1]
+        lam = [a - c * b for a, b in zip(lam, _plain_shift(len(lam), "e", i))]
+    return tuple(lam)
+
+
+def _plain_dominates(mu, nu):
+    """The simple-root coefficients of mu - nu, from the inverse Cartan
+    matrix, are non-negative integers."""
+    n = len(mu)
+    diff = [a - b for a, b in zip(mu, nu)]
+    coeffs = [
+        sum(Fraction(min(i, j) * (n + 1 - max(i, j)), n + 1) * diff[j - 1]
+            for j in range(1, n + 1))
+        for i in range(1, n + 1)
+    ]
+    return all(c >= 0 and c.denominator == 1 for c in coeffs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(weights, st.data())
+def test_cached_weight_helpers_equal_a_plain_rederivation(lam, data):
+    """Each process-wide cached weight helper gives, cold or warm, what a
+    re-derivation from the definitions gives."""
+    n = len(lam)
+    mu = data.draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n).map(tuple))
+    dom = _plain_dominant(lam)
+    orbit = {weyl_act(w, dom) for w in weyl_elements(n)}
+    for _ in range(2):  # the second call of each is a cache hit
+        # 2<lam, rho^vee> is the sum of <lam, alpha^vee> over positive roots
+        assert height(lam) == sum(sum(lam[a:b]) for a in range(n) for b in range(a + 1, n + 1))
+        assert dominant_rep(lam) == dom
+        assert dominates(lam, mu) == _plain_dominates(lam, mu)
+        assert dominates(dom, lam)
+        got = _orbit(dom)
+        assert len(got) == len(orbit) and set(got) == orbit
+        for sym in "efh":
+            for i in range(1, n + 1):
+                wt2 = tuple(a + b for a, b in zip(lam, _plain_shift(n, sym, i)))
+                want = None if min(wt2) >= 0 else _plain_dominant(wt2)
+                assert _target(lam, sym, i) == (wt2, want)
+
+
+def test_a_cached_orbit_cannot_be_altered_through_its_value():
+    orbit = _orbit((1, 0, 1))
+    assert isinstance(orbit, (tuple, frozenset))
+    with pytest.raises((AttributeError, TypeError)):
+        orbit.add((0, 0, 0))
+    with pytest.raises((AttributeError, TypeError)):
+        orbit[0] = (0, 0, 0)
+    assert _orbit((1, 0, 1)) is orbit and len(orbit) == 12 and (0, 0, 0) not in orbit
 
 
 @settings(max_examples=8, deadline=None)
