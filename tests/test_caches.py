@@ -47,12 +47,13 @@ def clear_all():
         fn.cache_clear()
 
 
-def test_every_weight_cache_is_a_module_level_lru_cache():
+def test_every_weight_cache_is_found_and_emptied_by_the_module_rule():
     found = {id(fn) for fn in krfl_caches()}
     for mod, name in WEIGHT_CACHES:
         fn = vars(mod)[name]
         assert id(fn) in found, name
-        assert fn.cache_info().maxsize is None, name
+        fn.cache_clear()
+        assert fn.cache_info().currsize == 0, name
 
 
 def _outputs(capsys):

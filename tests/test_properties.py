@@ -248,9 +248,10 @@ def test_cached_weight_helpers_equal_a_plain_rederivation(lam, data):
     mu = data.draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n).map(tuple))
     dom = _plain_dominant(lam)
     orbit = {weyl_act(w, dom) for w in weyl_elements(n)}
+    # 2<lam, rho^vee> is the sum of <lam, alpha^vee> over the positive roots
+    two_rho = sum(sum(lam[a:b]) for a in range(n) for b in range(a + 1, n + 1))
     for _ in range(2):  # the second call of each is a cache hit
-        # 2<lam, rho^vee> is the sum of <lam, alpha^vee> over positive roots
-        assert height(lam) == sum(sum(lam[a:b]) for a in range(n) for b in range(a + 1, n + 1))
+        assert height(lam) == two_rho
         assert dominant_rep(lam) == dom
         assert dominates(lam, mu) == _plain_dominates(lam, mu)
         assert dominates(dom, lam)
