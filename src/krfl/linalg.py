@@ -243,7 +243,8 @@ class Echelon:
         introduces entries above p and one ascending pass suffices.
         Each pivot is popped at most once, so a row gets one coefficient
         per sweep: the int c itself while the scale is 1, which is the
-        common case, and c/scale otherwise.
+        common case, and c/scale otherwise.  The sweep stops once v is
+        empty, as no later pivot can then be hit.
         """
         block = self.pivots.get(label)
         if not block or not v:
@@ -257,6 +258,8 @@ class Echelon:
             if coeffs is not None:
                 coeffs[row_no] = c if scale == 1 else _canon(Fraction(c, scale))
             scale = _cancel(v, c, self.rows[row_no], p, self.scales[row_no], scale)
+            if not v:
+                break
         return scale
 
     def _clear(self, v, label, block, scale):

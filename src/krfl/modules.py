@@ -12,13 +12,16 @@ Action matrices are produced on demand by a construction-specific
 builder and cached; matrix builds a whole one only when a caller asks
 for it (check_axioms, the factors of a tensor product).  A tensor
 product acts through its column store instead: act reads each column
-of the vector's support from a cache (sym, i, k) -> {index: column}
-and builds a missing one once, alone.  Single vectors (the Borel
-phase, relation words, root vectors) and passes over every row (the
-lowering closures, the truncation check, a subquotient matrix) take
-that one path, so no whole ambient matrix is built.  Any other module
-acts on one vector through its cached matrix or its vector-level
-action, and a pass over every row reads its matrix (_row_pass).
+of the vector's support from a cache (sym, i, k) -> {index: column},
+builds a missing one once, alone, and applies it, all in one loop.  A
+column takes the off-diagonal entries of the factors' columns straight
+into place, and sums only their diagonal entries, those of h.  Single
+vectors (the Borel phase, relation words, root vectors) and passes
+over every row (the lowering closures, the truncation check, a
+subquotient matrix) take that one path, so no whole ambient matrix is
+built.  Any other module acts on one vector through its cached matrix
+or its vector-level action, and a pass over every row reads its matrix
+(_row_pass).
 
 Vectors are sparse dicts in the module's own coordinates.  Every basis
 element is weight homogeneous (and degree homogeneous in the graded
@@ -44,13 +47,15 @@ cyclic_submodule and fusion_filtration differ only in the checks they
 make afterwards and in how _module_on_rows reads the rows.
 
 The weight arithmetic of a closure is cached for the whole process:
-_target gives a generator's target weight and its dominant
-representative, from _shift and the cached helpers of krfl.typea, and
-_module_on_rows, check_axioms and the truncation check read their target
-weights from it too.  All of these are pure functions of weights and
-return immutable values, so the caches change no row, candidate order
-or output; they only spare recomputing the same weights in every
-closure.
+_target gives a generator's target weight, from _shift and the cached
+helpers of krfl.typea, and _module_on_rows, check_axioms and the
+truncation check read their target weights from it too.  All of these
+are pure functions of weights and return immutable values, so the
+caches change no row, candidate order or output; they only spare
+recomputing the same weights in every closure.  Each holds at most
+WEIGHT_CACHE_SIZE entries.  Inside one closure, _close looks up the
+targets of a source weight and t-power once, window test and dominant
+representative included, and keeps them for every later row there.
 
 A graded character can be had from a part of the module alone.  Every
 degree of a fusion product or Demazure-type module is a g-module, so its
@@ -94,6 +99,7 @@ from .linalg import (
     vec_iadd_scaled,
 )
 from .typea import (
+    WEIGHT_CACHE_SIZE,
     Character,
     _orbit,
     cartan_matrix,
@@ -145,22 +151,18 @@ def _module_store():
 module_store = _module_store()
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=WEIGHT_CACHE_SIZE)
 def _shift(rank, sym, i):
-    """Weight shift of the generator: +alpha_i, -alpha_i, or 0."""
-    if sym == "e":
-        return simple_root(rank, i)
-    if sym == "f":
-        return tuple(-x for x in simple_root(rank, i))
-    return zero_weight(rank)
+    """Weight shift of e_i or f_i: +alpha_i or -alpha_i."""
+    root = simple_root(rank, i)
+    return root if sym == "e" else tuple(-x for x in root)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=WEIGHT_CACHE_SIZE)
 def _target(wt, sym, i):
-    """The weight to which sym_i ⊗ t^k, any k, moves the weight wt, and
-    that weight's dominant representative, or None if it is dominant."""
-    wt2 = weight_add(wt, _shift(len(wt), sym, i))
-    return wt2, None if is_dominant(wt2) else dominant_rep(wt2)
+    """The weight to which sym_i ⊗ t^k, any k, moves the weight wt; h
+    keeps the weight, so its target is wt itself, not a copy."""
+    return wt if sym == "h" else weight_add(wt, _shift(len(wt), sym, i))
 
 
 def fundamental_gmodule(n: int, i: int) -> GtModule:
@@ -293,18 +295,30 @@ def _close(m, ech, rows, gens, act):
     full closure; a reflection from mu ≥ floor passes only weights
     between mu and mu', all ≥ floor.
     """
-    floor = m.floor
+    floor, graded = m.floor, m.graded
     groups = {}
     for sym, i, k in gens:
         groups.setdefault(k, []).append((sym, i))
-    stage = all(sym == "f" for sym, _, _ in gens) and (m.graded or len(ech) == 1)
-    fill = stage and not m.graded
+    stage = all(sym == "f" for sym, _, _ in gens) and (graded or len(ech) == 1)
+    fill = stage and not graded
     members = {}  # (weight, tag) -> row numbers stored
     for j, meta in enumerate(ech.meta):
         members.setdefault(meta, []).append(j)
     filled = set()  # (weight, tag) filled by reflection
     heap = []
     accepted = []
+    # (source weight, t-power) -> [(sym, i, target weight, its dominant
+    # representative or None)] for the generators aimed inside the window
+    aims = {}
+
+    def aimed(wt, k):
+        out = aims[wt, k] = []
+        for sym, i in groups[k]:
+            wt2 = _target(wt, sym, i)
+            if floor is None or dominates(wt2, floor):
+                dom = None if is_dominant(wt2) else dominant_rep(wt2)
+                out.append((sym, i, wt2, dom))
+        return out
 
     def queue(j):
         wt, tag = ech.meta[j]
@@ -322,14 +336,14 @@ def _close(m, ech, rows, gens, act):
     while heap:
         tag, _, j, k = heapq.heappop(heap)
         row, wt = ech.rows[j], ech.meta[j][0]
-        for sym, i in groups[k]:
-            wt2, dom = _target(wt, sym, i)
-            if floor is not None and not dominates(wt2, floor):
-                continue
-            label = _closure_label(m, wt2, tag)
+        targets = aims.get((wt, k))
+        if targets is None:
+            targets = aimed(wt, k)
+        for sym, i, wt2, dom in targets:
+            meta = (wt2, tag)
+            label = meta if graded else wt2  # _closure_label
             if ech.full(label):
                 continue
-            meta = (wt2, tag)
             if stage and dom is not None:
                 if fill and meta not in filled:
                     filled.add(meta)
@@ -381,9 +395,10 @@ class GtModule:
     modules can produce every power exactly from their points, and a
     module without either (a g-module) refuses every power above it.
     column, if given, is column(sym, i, k) -> make, with make(j)
-    column j of that matrix as a dict built alone; such a module (a
-    tensor product) acts through its column store, _cols, which builds
-    each column once, on first touch.  Any other module acts through its
+    column j of that matrix built alone, as a tuple of (row, coefficient)
+    pairs; such a module (a tensor product) acts through its column
+    store, _cols, which builds each column once, on first touch, and
+    applies it in the same loop.  Any other module acts through its
     cached matrix, or while there is none through apply(sym, i, k, vec),
     a vector-level action, if given.
 
@@ -451,8 +466,9 @@ class GtModule:
         return self._mats[key]
 
     def column_maker(self, sym, i, k):
-        """make, with make(j) column j of matrix(sym, i, k) as a dict
-        built alone; for a module with a column builder."""
+        """make, with make(j) column j of matrix(sym, i, k) built alone,
+        as a tuple of (row, coefficient) pairs; for a module with a
+        column builder."""
         return self._column(sym, i, k)
 
     def act(self, sym, i, k, vec):
@@ -472,10 +488,18 @@ class GtModule:
         if store is None:
             store = self._cols[key] = ({}, self.column_maker(*key))
         cols, make = store
-        for j in vec:
-            if j not in cols:
-                cols[j] = tuple((r, _canon(c)) for r, c in make(j).items() if c)
-        return mat_apply(cols, vec)
+        out = {}
+        for j, x in vec.items():
+            col = cols.get(j)
+            if col is None:
+                col = cols[j] = make(j)
+            for r, c in col:
+                y = out.get(r, 0) + x * c
+                if y:
+                    out[r] = y
+                else:
+                    out.pop(r, None)
+        return out
 
     def weight_of(self, vec):
         """The common weight of the support, or raise if mixed."""
@@ -554,27 +578,38 @@ def tensor_modules(ms) -> GtModule:
 
     def column(sym, i, k):
         """Column flat of the (sym, i, k) matrix: each factor's column at
-        its coordinate of flat, moved into place."""
-        factor_mats = [
-            (mat, st, d)
-            for mat, st, d in zip((m.matrix(sym, i, k) for m in ms), strides, dims)
-            if mat
-        ]
+        its coordinate j of flat, moved into place.
+
+        Factor f moving j to r moves flat by (r - j) * strides[f],
+        computed per entry, so the store keeps no per-factor table.  Each
+        factor moves only its own coordinate, so no two off-diagonal
+        entries of a column meet and they go into it as they are; only
+        the diagonal entries (those of h) add up, and their sum is
+        canonicalised once.  The column is a tuple of (row, coefficient)
+        pairs, nonzero and unsorted.
+        """
+        mats = (m.matrix(sym, i, k) for m in ms)
+        factors = [(st, d, mat) for mat, st, d in zip(mats, strides, dims) if mat]
 
         def make(flat):
-            col = {}
-            for mat, st, d in factor_mats:
+            col = []
+            diagonal = 0
+            for st, d, mat in factors:
                 j = flat // st % d
                 for r, c in mat.get(j, ()):
-                    dest = flats[flat + (r - j) * st]
-                    col[dest] = col.get(dest, 0) + c
-            return col
+                    if r == j:
+                        diagonal += c
+                    else:
+                        col.append((flats[flat + (r - j) * st], c))
+            if diagonal:
+                col.append((flats[flat], _canon(diagonal)))
+            return tuple(col)
 
         return make
 
     def build(sym, i, k):
         make = column(sym, i, k)
-        return mat_from_columns({flat: col for flat in flats if (col := make(flat))})
+        return {flat: tuple(sorted(col)) for flat in flats if (col := make(flat))}
 
     if graded:
         trunc = max(m.trunc for m in ms)
@@ -659,12 +694,12 @@ def _module_on_rows(m, ech, degrees, trunc, points):
             return True
         if floor is None:
             return False
-        return not dominates(_target(wt, sym, i)[0], floor)
+        return not dominates(_target(wt, sym, i), floor)
 
     def coords(sym, i, k, img, wt, deg):
         if not img:
             return {}
-        wt2 = _target(wt, sym, i)[0]
+        wt2 = _target(wt, sym, i)
         coeffs, residual = ech.coordinates(img, _closure_label(m, wt2, deg + k))
         if residual:
             raise InvariantError("closure is not action stable")
@@ -766,7 +801,7 @@ def _assert_truncation_sufficient(m: GtModule, ech: Echelon):
         for i in range(1, m.rank + 1):
             for k in (m.trunc + 1, m.trunc + 2):
                 for row, meta in zip(ech.rows, ech.meta):
-                    if ech.reduce(act(sym, i, k, row), _target(meta[0], sym, i)[0]):
+                    if ech.reduce(act(sym, i, k, row), _target(meta[0], sym, i)):
                         raise InvariantError("truncated generator set failed to close")
 
 
@@ -1021,7 +1056,7 @@ def _check_homogeneous(weights, degrees, sym, i, k, mat, report):
     """Report mat's first break of weight or degree homogeneity; returns
     whether there was none."""
     for col, entries in mat.items():
-        want = _target(weights[col], sym, i)[0]
+        want = _target(weights[col], sym, i)
         for row, _ in entries:
             if weights[row] != want:
                 report.append(f"{sym}_{i} t^{k} breaks weight homogeneity")

@@ -13,7 +13,11 @@ the whole process, as the closures of krfl.modules ask them about the
 same few hundred weights many thousand times.  Each is a pure function
 of its weights, tuples of ints, and returns an immutable value (_orbit
 a tuple), so a cached answer is the one a fresh call computes and no
-caller can alter it.  cache_clear() empties each.
+caller can alter it.  Each, like the target caches of krfl.modules,
+holds at most WEIGHT_CACHE_SIZE entries, least recently used out
+first: far above the weights of the largest sweep, about 11,000
+targets at rank 4 and size 4, so no sweep evicts, while a process that
+walks ever more weights stays bounded.  cache_clear() empties each.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from functools import lru_cache
 from .errors import InvariantError
 
 Weight = tuple  # tuple[int, ...] of length n, fundamental weight basis
+WEIGHT_CACHE_SIZE = 2**16  # entries per weight cache
 WeylElt = tuple  # permutation of 1..n+1
 
 
@@ -138,7 +143,7 @@ def is_dominant(lam) -> bool:
     return all(a >= 0 for a in lam)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=WEIGHT_CACHE_SIZE)
 def height(lam) -> int:
     """2<lam, rho> = sum_i i(n+1-i) lam_i, an integer; lowering by a
     simple root lowers it by exactly 2."""
@@ -155,7 +160,7 @@ def lowest_dominant(lam) -> Weight:
     return fundamental_weight(n, r) if r else zero_weight(n)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=WEIGHT_CACHE_SIZE)
 def dominates(mu, nu) -> bool:
     """Whether mu >= nu in the root order: mu - nu is a sum of positive
     roots.  With a the epsilon coordinates of mu - nu, its coefficient at
@@ -216,7 +221,7 @@ def weyl_act(p, lam) -> Weight:
     return from_avec(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=WEIGHT_CACHE_SIZE)
 def dominant_rep(lam) -> Weight:
     """The dominant weight in the W-orbit of lam."""
     return from_avec(tuple(sorted(to_avec(lam), reverse=True)))
@@ -308,7 +313,7 @@ def _reach(start, steps):
     return seen
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=WEIGHT_CACHE_SIZE)
 def _orbit(mu) -> tuple:
     """The W-orbit of the dominant weight mu, as a tuple: from mu, apply
     s_i wherever the current weight has a positive i-th coordinate."""

@@ -4,7 +4,8 @@ krfl.typea and krfl.modules keep the pure weight arithmetic of the
 closures (heights, dominant representatives, the root order, orbits and
 generator targets) in module-level lru_caches for the whole process.
 These tests pin where those caches live, that emptying every krfl cache
-changes no output, and how much memory the weight caches hold.
+changes no output, how much memory the weight caches hold, and their one
+bound, which a full verify_suite does not reach.
 """
 
 import gc
@@ -16,6 +17,7 @@ import krfl.modules
 import krfl.typea
 from krfl.cli import main
 from krfl.modules import fusion_character
+from krfl.typea import WEIGHT_CACHE_SIZE
 from krfl.verify import suite_ok, verify_suite
 
 WEIGHT_CACHES = [
@@ -56,6 +58,11 @@ def test_every_weight_cache_is_found_and_emptied_by_the_module_rule():
         assert fn.cache_info().currsize == 0, name
 
 
+def test_every_weight_cache_is_bounded_by_one_constant():
+    for mod, name in WEIGHT_CACHES:
+        assert vars(mod)[name].cache_info().maxsize == WEIGHT_CACHE_SIZE, name
+
+
 def _outputs(capsys):
     code = main(["verify-suite", "--max-rank", "2", "--max-size", "3", "--format", "json"])
     out = capsys.readouterr().out
@@ -74,11 +81,16 @@ def test_clearing_every_cache_changes_no_output(capsys):
 
 def test_weight_caches_stay_small_after_a_full_verify_suite():
     """The bytes that only the weight caches keep alive once every other
-    cache is emptied, after verify_suite over rank <= 3, size <= 4."""
+    cache is emptied, after verify_suite over rank <= 3, size <= 4; and
+    that suite evicts nothing, so the bound changes no hit."""
     clear_all()
     tracemalloc.start()
     try:
         assert suite_ok(verify_suite(3, 4))
+        for mod, name in WEIGHT_CACHES:
+            info = vars(mod)[name].cache_info()
+            # from empty, every miss stored an entry and none was dropped
+            assert info.currsize == info.misses < info.maxsize, name
         weight = {id(vars(mod)[name]) for mod, name in WEIGHT_CACHES}
         for fn in krfl_caches():
             if id(fn) not in weight:

@@ -260,8 +260,8 @@ def test_cached_weight_helpers_equal_a_plain_rederivation(lam, data):
         for sym in "efh":
             for i in range(1, n + 1):
                 wt2 = tuple(a + b for a, b in zip(lam, _plain_shift(n, sym, i)))
-                want = None if min(wt2) >= 0 else _plain_dominant(wt2)
-                assert _target(lam, sym, i) == (wt2, want)
+                assert _target(lam, sym, i) == wt2
+                assert dominant_rep(wt2) == _plain_dominant(wt2)
 
 
 def test_a_cached_orbit_cannot_be_altered_through_its_value():
@@ -309,28 +309,57 @@ def test_cyclic_submodule_of_lowest_vector_at_one_point(z):
     assert sorted(sub.weights) == [(-2,), (0,), (2,)]
 
 
+def _evaluation_factors(lams, points):
+    return [evaluation_module(simple_gmodule(2, lam), z) for lam, z in zip(lams, points)]
+
+
 def _evaluation_tensor(lams, points):
-    return tensor_modules(
-        [evaluation_module(simple_gmodule(2, lam), z) for lam, z in zip(lams, points)]
-    )
+    return tensor_modules(_evaluation_factors(lams, points))
 
 
-TENSORS = {
-    "g-module": lambda: tensor_modules([fundamental_gmodule(2, i) for i in (1, 2, 1)]),
-    "evaluation-pair": lambda: _evaluation_tensor([(1, 1), (1, 0)], (0, 2)),
-    "evaluation-triple": lambda: _evaluation_tensor(
+TENSOR_FACTORS = {
+    "g-module": lambda: [fundamental_gmodule(2, i) for i in (1, 2, 1)],
+    "evaluation-pair": lambda: _evaluation_factors([(1, 1), (1, 0)], (0, 2)),
+    "evaluation-triple": lambda: _evaluation_factors(
         [(1, 0), (0, 1), (1, 0)], (-1, 0, 3)
     ),
-    "graded-pair": lambda: tensor_modules(
-        [local_weyl(2, (1, 1)), local_weyl(2, (1, 0))]
+    # h ⊗ t^k sums z^k-scaled weights of both factors, Fractions whose sum
+    # is often integral, and such a sum must be an int
+    "evaluation-halves": lambda: _evaluation_factors(
+        [(1, 0), (1, 1)], (Fraction(1, 2), Fraction(3, 2))
     ),
+    "graded-pair": lambda: [local_weyl(2, (1, 1)), local_weyl(2, (1, 0))],
+    # h ⊗ t^0 is diagonal, h ⊗ t^k for k ≥ 1 moves degrees in each factor
+    "graded-triple": lambda: [
+        local_weyl(2, (1, 0)), local_weyl(2, (1, 1)), local_weyl(2, (0, 1))
+    ],
 }
+TENSORS = {
+    name: lambda factors=factors: tensor_modules(factors())
+    for name, factors in TENSOR_FACTORS.items()
+}
+
+
+def _factor_sum(factors, amb, sym, i, k, vec):
+    """sum_f I ⊗ X_f ⊗ I applied to vec, X_f the (sym, i, k) matrix of
+    factor f: a reference read from the factor matrices alone, each index
+    moved through amb.flat_index."""
+    labels = {flat: lab for lab, flat in amb.flat_index.items()}
+    out = {}
+    for j, x in vec.items():
+        lab = labels[j]
+        for f, m in enumerate(factors):
+            for r, c in m.matrix(sym, i, k).get(lab[f], ()):
+                dest = amb.flat_index[lab[:f] + (r,) + lab[f + 1 :]]
+                out[dest] = out.get(dest, 0) + x * c
+    return {r: c for r, c in out.items() if c}
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_vector_action_of_tensor_equals_matrix_action(data):
-    amb = TENSORS[data.draw(st.sampled_from(sorted(TENSORS)))]()
+    factors = TENSOR_FACTORS[data.draw(st.sampled_from(sorted(TENSOR_FACTORS)))]()
+    amb = tensor_modules(factors)
     idx = data.draw(st.sets(st.integers(0, amb.dim - 1), min_size=1, max_size=6))
     vec = {j: data.draw(st.integers(-3, 3).filter(bool)) for j in sorted(idx)}
     sym = data.draw(st.sampled_from("efh"))
@@ -346,7 +375,27 @@ def test_vector_action_of_tensor_equals_matrix_action(data):
         return
     img = amb.act(sym, i, k, vec)
     assert not amb._mats
+    assert img == _factor_sum(factors, amb, sym, i, k, vec)
     assert img == mat_apply(amb.matrix(sym, i, k), vec)
+
+
+@pytest.mark.parametrize("name", sorted(TENSOR_FACTORS))
+def test_every_tensor_column_is_the_sum_over_its_factors(name):
+    """Each column of every generator, through act and through matrix,
+    is the factor sum, with integral entries as ints."""
+    factors = TENSOR_FACTORS[name]()
+    amb = tensor_modules(factors)
+    top = amb.trunc + (2 if amb.graded or amb.points is not None else 0)
+    for sym in "efh":
+        for i in range(1, amb.rank + 1):
+            for k in range(top + 1):
+                mat = amb.matrix(sym, i, k)
+                for j in range(amb.dim):
+                    want = _factor_sum(factors, amb, sym, i, k, {j: 1})
+                    col = amb.act(sym, i, k, {j: 1})
+                    assert col == want == dict(mat.get(j, ())), (sym, i, k, j)
+                    ints = [c for c in col.values() if c.denominator == 1]
+                    assert all(type(c) is int for c in ints), (sym, i, k, j)
 
 
 MAT_SIZE = 5
