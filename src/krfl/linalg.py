@@ -57,8 +57,18 @@ def vec_iadd_scaled(v, w, c):
     return v
 
 
+def _canon_vec(v):
+    """v, in place, with every integral Fraction made an int: a sum of
+    Fractions can come out integral."""
+    if type(sum(v.values())) is not int:  # a Fraction is among them
+        for i, x in v.items():
+            if x.denominator == 1:
+                v[i] = x.numerator
+    return v
+
+
 def mat_apply(mat, v):
-    """Matrix times vector, both sparse."""
+    """Matrix times vector, both sparse, integral values as ints."""
     out = {}
     for i, x in v.items():
         col = mat.get(i)
@@ -70,7 +80,7 @@ def mat_apply(mat, v):
                 out[j] = y
             else:
                 out.pop(j, None)
-    return out
+    return _canon_vec(out)
 
 
 def mat_from_columns(cols):
@@ -203,10 +213,7 @@ class Echelon:
     @staticmethod
     def _cleared(v):
         """Integer copy of v and the factor it was scaled up by."""
-        for x in v.values():
-            if type(x) is not int:
-                break
-        else:
+        if type(sum(v.values())) is int:  # no Fraction among them
             return dict(v), 1  # the common case: nothing to scan or convert
         L = 1
         for x in v.values():

@@ -8,20 +8,20 @@ every power of t), or a g-module: ungraded, without points and with
 trunc = 0, so only the t^0 generators, the Chevalley generators of the
 finite simple Lie algebra, act on it.
 
-Action matrices are produced on demand by a construction-specific
-builder and cached; matrix builds a whole one only when a caller asks
-for it (check_axioms, the factors of a tensor product).  A tensor
-product acts through its column store instead: act reads each column
-of the vector's support from a cache (sym, i, k) -> {index: column},
-builds a missing one once, alone, and applies it, all in one loop.  A
-column takes the off-diagonal entries of the factors' columns straight
-into place, and sums only their diagonal entries, those of h.  Single
-vectors (the Borel phase, relation words, root vectors) and passes
-over every row (the lowering closures, the truncation check, a
-subquotient matrix) take that one path, so no whole ambient matrix is
-built.  Any other module acts on one vector through its cached matrix
-or its vector-level action, and a pass over every row reads its matrix
-(_row_pass).
+One action path.  Each construction hands GtModule a column maker,
+column(sym, i, k) -> make, with make(j) column j of that action
+matrix built alone: a fundamental module reads its stored matrices, an
+evaluation module its base matrix scaled by z^k, a tensor product takes
+the off-diagonal entries of the factors' columns straight into place and
+sums only their diagonal entries, those of h, and a subquotient writes
+the ambient image of its row j in the rows (_module_on_rows).  act
+applies the matrix once matrix has built it, and otherwise reads each
+column of the vector's support from the column store (sym, i, k) ->
+{index: column}, making a missing one once.  Single vectors (the Borel
+phase, relation words, root vectors) and passes over every row (the
+lowering closures, the truncation check) alike go through act, so a
+closure builds no whole ambient matrix; matrix builds one only when a
+caller asks for it (check_axioms, the factors of a tensor product).
 
 Vectors are sparse dicts in the module's own coordinates.  Every basis
 element is weight homogeneous (and degree homogeneous in the graded
@@ -92,6 +92,7 @@ from .errors import InvariantError
 from .linalg import (
     Echelon,
     _canon,
+    _canon_vec,
     mat_apply,
     mat_bracket,
     mat_from_columns,
@@ -199,7 +200,7 @@ def fundamental_gmodule(n: int, i: int) -> GtModule:
         mats[("h", node)] = mat_from_columns(h_cols)
     top = index[tuple(range(1, i + 1))]
     return GtModule(
-        n, weights, None, 0, lambda sym, node, k: mats[(sym, node)], cyclic_index=top
+        n, weights, None, 0, lambda sym, node, k: mats[(sym, node)].get, cyclic_index=top
     )
 
 
@@ -215,15 +216,6 @@ def _borel_gens(rank, trunc):
 
 def _lowering_gens(rank, powers):
     return [("f", i, k) for i in range(1, rank + 1) for k in powers]
-
-
-def _row_pass(m):
-    """The action for a pass over every row: a module with a column
-    builder acts through its column store (GtModule.act), building only
-    the columns the rows touch; any other module applies its matrix."""
-    if m._column is not None:
-        return m.act
-    return lambda sym, i, k, vec: mat_apply(m.matrix(sym, i, k), vec)
 
 
 def _reflection_fill(ech, act, rows, i, power, label, meta):
@@ -243,7 +235,7 @@ def _reflection_fill(ech, act, rows, i, power, label, meta):
     return accepted
 
 
-def _close(m, ech, rows, gens, act):
+def _close(m, ech, rows, gens):
     """Close the span of ech under gens, starting from the given rows;
     returns the accepted row numbers.
 
@@ -351,12 +343,12 @@ def _close(m, ech, rows, gens, act):
                     up = weight_scale(power, simple_root(m.rank, node))
                     sources = members.get((weight_add(wt2, up), tag), ())
                     for new in _reflection_fill(
-                        ech, act, sources, node, power, label, meta
+                        ech, m.act, sources, node, power, label, meta
                     ):
                         accept(new)
                 if len(members.get(meta, ())) >= len(members.get((dom, tag), ())):
                     continue
-            img = act(sym, i, k, row)
+            img = m.act(sym, i, k, row)
             if img:
                 new = ech.insert(img, label, meta)
                 if new is not None:
@@ -376,9 +368,7 @@ def simple_gmodule(n: int, lam) -> GtModule:
     for i in range(1, n + 1):
         factors.extend(fundamental_gmodule(n, i) for _ in range(lam[i - 1]))
     if not factors:
-        return GtModule(
-            n, [zero_weight(n)], None, 0, lambda sym, i, k: {}, cyclic_index=0
-        )
+        return GtModule(n, [zero_weight(n)], None, 0, lambda sym, i, k: {}.get, cyclic_index=0)
     amb = tensor_modules(factors)
     out = cyclic_submodule(amb, {amb.cyclic_index: ONE})
     if out.dim != weyl_dim(lam):
@@ -394,13 +384,13 @@ class GtModule:
     graded modules return the zero matrix above it, evaluation-type
     modules can produce every power exactly from their points, and a
     module without either (a g-module) refuses every power above it.
-    column, if given, is column(sym, i, k) -> make, with make(j)
-    column j of that matrix built alone, as a tuple of (row, coefficient)
-    pairs; such a module (a tensor product) acts through its column
-    store, _cols, which builds each column once, on first touch, and
-    applies it in the same loop.  Any other module acts through its
-    cached matrix, or while there is none through apply(sym, i, k, vec),
-    a vector-level action, if given.
+    column(sym, i, k) -> make is the one action: make(j) is column j of
+    that matrix built alone, as (row, coefficient) pairs, nonzero and
+    with integral values as ints, or empty or None for a zero column.
+    Until matrix builds a whole matrix, act reads a vector's columns
+    from the column store, _cols, which makes each once, on first
+    touch.  A subquotient reads the column store of its ambient, which
+    it drops for a generator once it has read it.
 
     floor is None except inside the character builds of
     window_character, which set it on the ambient of a closure; the
@@ -410,18 +400,10 @@ class GtModule:
     engine.
     """
 
+    ambient = None  # the module a subquotient's columns are read through
+
     def __init__(
-        self,
-        rank,
-        weights,
-        degrees,
-        trunc,
-        builder,
-        points=None,
-        cyclic_index=None,
-        apply=None,
-        column=None,
-        floor=None,
+        self, rank, weights, degrees, trunc, column, points=None, cyclic_index=None, floor=None
     ):
         self.rank = rank
         self.weights = [tuple(w) for w in weights]
@@ -429,11 +411,9 @@ class GtModule:
         self.trunc = trunc
         self.points = points
         self.cyclic_index = cyclic_index
-        self._builder = builder
+        self._column = column
         self._mats = {}
         self._cols = {}  # (sym, i, k) -> ({index: column}, make)
-        self._apply_vec = apply
-        self._column = column
         self.floor = floor
 
     @property
@@ -448,7 +428,10 @@ class GtModule:
         return max(self.degrees) if self.degrees else 0
 
     def _acts_by_zero(self, k):
-        """Whether t^k acts by zero; raises if the module cannot produce it."""
+        """Whether t^k acts by zero; raises ValueError unless k is an int
+        the module can produce."""
+        if type(k) is not int:
+            raise ValueError(f"t-power must be an int, got {k!r}")
         if k < 0:
             raise ValueError("negative t-power")
         if k <= self.trunc:
@@ -460,30 +443,36 @@ class GtModule:
         return False
 
     def matrix(self, sym, i, k):
+        """The whole (sym, i, k) matrix in normal form, built once; the
+        column store of the generator is dropped then."""
         key = (sym, i, k)
-        if key not in self._mats:
-            self._mats[key] = {} if self._acts_by_zero(k) else self._builder(sym, i, k)
-        return self._mats[key]
+        mat = self._mats.get(key)
+        if mat is None or type(k) is not int:  # 1.0 finds the key of 1
+            mat = {}
+            if not self._acts_by_zero(k):
+                make = self.column_maker(*key)
+                for j in range(self.dim):
+                    if col := make(j):
+                        mat[j] = tuple(sorted(col))
+            self._mats[key] = mat
+            self._cols.pop(key, None)
+            if self.ambient is not None:
+                self.ambient._cols.pop(key, None)
+        return mat
 
     def column_maker(self, sym, i, k):
-        """make, with make(j) column j of matrix(sym, i, k) built alone,
-        as a tuple of (row, coefficient) pairs; for a module with a
-        column builder."""
+        """make, with make(j) column j of matrix(sym, i, k) built alone."""
         return self._column(sym, i, k)
 
     def act(self, sym, i, k, vec):
-        if k < 0:
-            raise ValueError("negative t-power")
-        if not vec:
+        """The image of vec: through the matrix once it is built, else
+        through the column store, which makes the missing columns."""
+        if self._acts_by_zero(k) or not vec:
             return {}
         key = (sym, i, k)
-        if self._column is None:
-            mat = self._mats.get(key)
-            if mat is None and self._apply_vec is not None:
-                return {} if self._acts_by_zero(k) else self._apply_vec(sym, i, k, vec)
-            return mat_apply(self.matrix(*key) if mat is None else mat, vec)
-        if self._acts_by_zero(k):
-            return {}
+        mat = self._mats.get(key)
+        if mat is not None:
+            return mat_apply(mat, vec)
         store = self._cols.get(key)
         if store is None:
             store = self._cols[key] = ({}, self.column_maker(*key))
@@ -492,14 +481,16 @@ class GtModule:
         for j, x in vec.items():
             col = cols.get(j)
             if col is None:
-                col = cols[j] = make(j)
+                col = cols[j] = make(j) or ()
             for r, c in col:
                 y = out.get(r, 0) + x * c
                 if y:
                     out[r] = y
                 else:
                     out.pop(r, None)
-        return out
+        if self.ambient is not None:  # its columns of key are read by now
+            self.ambient._cols.pop(key, None)
+        return _canon_vec(out)
 
     def weight_of(self, vec):
         """The common weight of the support, or raise if mixed."""
@@ -520,21 +511,11 @@ def evaluation_module(m: GtModule, z) -> GtModule:
     acts by z^k a."""
     z = Fraction(z)
 
-    def build(sym, i, k):
+    def column(sym, i, k):
         base = m.matrix(sym, i, 0)
-        if k == 0:
-            return base
-        return mat_scale(base, z**k)
+        return (base if k == 0 else mat_scale(base, z**k)).get
 
-    return GtModule(
-        m.rank,
-        m.weights,
-        None,
-        0,
-        build,
-        points=(z,),
-        cyclic_index=m.cyclic_index,
-    )
+    return GtModule(m.rank, m.weights, None, 0, column, points=(z,), cyclic_index=m.cyclic_index)
 
 
 def tensor_modules(ms) -> GtModule:
@@ -588,8 +569,9 @@ def tensor_modules(ms) -> GtModule:
         canonicalised once.  The column is a tuple of (row, coefficient)
         pairs, nonzero and unsorted.
         """
-        mats = (m.matrix(sym, i, k) for m in ms)
-        factors = [(st, d, mat) for mat, st, d in zip(mats, strides, dims) if mat]
+        factors = [
+            (st, d, mat) for m, st, d in zip(ms, strides, dims) if (mat := m.matrix(sym, i, k))
+        ]
 
         def make(flat):
             col = []
@@ -607,10 +589,6 @@ def tensor_modules(ms) -> GtModule:
 
         return make
 
-    def build(sym, i, k):
-        make = column(sym, i, k)
-        return {flat: tuple(sorted(col)) for flat in flats if (col := make(flat))}
-
     if graded:
         trunc = max(m.trunc for m in ms)
         points = None
@@ -623,16 +601,7 @@ def tensor_modules(ms) -> GtModule:
     cyclic = None
     if all(m.cyclic_index is not None for m in ms):
         cyclic = index[tuple(m.cyclic_index for m in ms)]
-    out = GtModule(
-        rank,
-        weights,
-        degrees,
-        trunc,
-        build,
-        points=points,
-        cyclic_index=cyclic,
-        column=column,
-    )
+    out = GtModule(rank, weights, degrees, trunc, column, points=points, cyclic_index=cyclic)
     out.flat_index = index
     return out
 
@@ -653,19 +622,6 @@ def _closure_echelon(m: GtModule) -> Echelon:
     return Echelon(Counter(_closure_label(m, w, d) for w, d in zip(m.weights, degrees)))
 
 
-def _lift(ech, part):
-    """Ambient vector for a dict of basis coefficients; rows carry a scale.
-
-    Integral coefficients stay int: int arithmetic is an order of
-    magnitude faster than Fraction downstream.
-    """
-    amb = {}
-    for j, c in part.items():
-        g = ech.scales[j]
-        vec_iadd_scaled(amb, ech.rows[j], _canon(c if g == 1 else Fraction(c, g)))
-    return amb
-
-
 def _module_on_rows(m, ech, degrees, trunc, points):
     """The module whose basis vector j is row j of ech, acted on through m.
 
@@ -676,11 +632,11 @@ def _module_on_rows(m, ech, degrees, trunc, points):
     it is fusion_filtration's associated graded, and the column keeps the
     rows of tag d + k, a row of higher tag raises, and for d + k > trunc,
     the top tag, neither the image nor its coordinates are computed, as
-    both checks are vacuous there.  The action on one vector lifts it to
-    m and goes through m.act; a matrix acts on every row (_row_pass).
-    Both closures end here, so the reduced copy of ech and m's column
-    store are released, and a matrix build releases m's columns of its
-    generator.  The new module inherits m's floor: an image below it is
+    both checks are vacuous there.  Column j is made from m.act of row
+    j, divided by its scale.  Both closures end here, so the reduced
+    copy of ech and m's column store are released; the new module
+    drops m's columns of a generator whenever it has read them (act,
+    matrix).  The new module inherits m's floor: an image below it is
     not computed and acts as zero.
     """
     ech.release()
@@ -709,43 +665,33 @@ def _module_on_rows(m, ech, degrees, trunc, points):
             raise InvariantError("filtration violated")
         return {r: c for r, c in coeffs.items() if degrees[r] == deg + k}
 
-    def apply(sym, i, k, vec):
-        groups = {}
-        for j, c in vec.items():
-            groups.setdefault(ech.meta[j], {})[j] = c
-        out = {}
-        for (wt, deg), part in groups.items():
-            if not zero(sym, i, k, wt, deg):
-                img = m.act(sym, i, k, _lift(ech, part))
-                vec_iadd_scaled(out, coords(sym, i, k, img, wt, deg), 1)
-        return out
-
-    def build(sym, i, k):
-        act = _row_pass(m)
-        cols = {}
-        for j, row in enumerate(ech.rows):
-            if zero(sym, i, k, *ech.meta[j]):
-                continue
+    def column(sym, i, k):
+        def make(j):
+            wt, deg = ech.meta[j]
+            if zero(sym, i, k, wt, deg):
+                return ()
             # act on the integer row, which is scales[j] times basis vector
             # j, so the ambient action stays in int arithmetic
-            col = coords(sym, i, k, act(sym, i, k, row), *ech.meta[j])
+            col = coords(sym, i, k, m.act(sym, i, k, ech.rows[j]), wt, deg)
             g = ech.scales[j]
-            if col:
-                cols[j] = col if g == 1 else {r: Fraction(c, g) for r, c in col.items()}
-        m._cols.pop((sym, i, k), None)  # the new module reads its matrix from now on
-        return mat_from_columns(cols)
+            if g == 1:
+                return tuple(col.items())
+            return tuple((r, _canon(Fraction(c, g))) for r, c in col.items())
 
-    return GtModule(
+        return make
+
+    out = GtModule(
         m.rank,
         [meta[0] for meta in ech.meta],
         degrees,
         trunc,
-        build,
+        column,
         points=points,
         cyclic_index=0,
-        apply=apply,
         floor=floor,
     )
+    out.ambient = m
+    return out
 
 
 def _closure(m: GtModule, vec):
@@ -763,8 +709,8 @@ def _closure(m: GtModule, vec):
     the premise under which U(n⁻[t])·vec already is U(g[t])·vec.  For
     any other vec it yields U(b[t])·vec, so every weight vector is a
     valid input.  In a windowed m (m.floor set) the closure keeps to the
-    weights ≥ floor (_close).  A tensor product m, full or windowed,
-    builds only the columns its rows touch (_row_pass).
+    weights ≥ floor (_close).  m builds only the columns its rows touch
+    (GtModule.act).
     """
     if not vec:
         raise ValueError("cannot close the zero vector")
@@ -772,9 +718,9 @@ def _closure(m: GtModule, vec):
     deg = m.degree_of(vec) if m.graded else 0
     ech = _closure_echelon(m)
     ech.insert(vec, _closure_label(m, wt, deg), (wt, deg))
-    borel = _close(m, ech, [0], _borel_gens(m.rank, m.trunc), m.act)
+    borel = _close(m, ech, [0], _borel_gens(m.rank, m.trunc))
     lowering = _lowering_gens(m.rank, range(m.trunc + 1))
-    _close(m, ech, range(len(ech)), lowering, _row_pass(m))
+    _close(m, ech, range(len(ech)), lowering)
     return ech, borel
 
 
@@ -796,12 +742,11 @@ def cyclic_submodule(m: GtModule, vec) -> GtModule:
 
 
 def _assert_truncation_sufficient(m: GtModule, ech: Echelon):
-    act = _row_pass(m)
     for sym in "efh":
         for i in range(1, m.rank + 1):
             for k in (m.trunc + 1, m.trunc + 2):
                 for row, meta in zip(ech.rows, ech.meta):
-                    if ech.reduce(act(sym, i, k, row), _target(meta[0], sym, i)):
+                    if ech.reduce(m.act(sym, i, k, row), _target(meta[0], sym, i)):
                         raise InvariantError("truncated generator set failed to close")
 
 
@@ -1024,9 +969,9 @@ def _check_word(m: GtModule, word):
             # the torus generator h acts at single nodes, so (a, a) is its
             # one interval
             raise ValueError("h acts at single nodes, not on an interval root")
-        m._acts_by_zero(k)  # raises for a negative or unavailable t-power
-        if power < 0:
-            raise ValueError("negative repeat count")
+        m._acts_by_zero(k)  # raises for a t-power m cannot produce
+        if type(power) is not int or power < 0:
+            raise ValueError(f"repeat count must be an int ≥ 0, got {power!r}")
 
 
 def apply_word(m: GtModule, vec, word):

@@ -16,7 +16,7 @@ import tracemalloc
 import krfl.modules
 import krfl.typea
 from krfl.cli import main
-from krfl.modules import fusion_character
+from krfl.modules import GtModule, fusion_character
 from krfl.typea import WEIGHT_CACHE_SIZE
 from krfl.verify import suite_ok, verify_suite
 
@@ -104,3 +104,18 @@ def test_weight_caches_stay_small_after_a_full_verify_suite():
     finally:
         tracemalloc.stop()
     assert 0 < held < WEIGHT_CACHE_BUDGET, held
+
+
+def test_no_tensor_product_keeps_columns_after_a_verify_suite():
+    """A closure empties its ambient's column store, and a subquotient
+    drops the ambient's columns of a generator once it has read them,
+    so after a suite no tensor product holds a column."""
+    clear_all()
+    assert suite_ok(verify_suite(max_rank=2, max_size=3))
+    gc.collect()
+    held = [
+        (m.dim, len(m._cols))
+        for m in gc.get_objects()
+        if isinstance(m, GtModule) and hasattr(m, "flat_index") and m._cols
+    ]
+    assert held == []

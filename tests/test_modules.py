@@ -295,7 +295,7 @@ class TestColumnStore:
         whole = []
 
         def spy(self, sym, i, k):
-            if self._column is not None:
+            if hasattr(self, "flat_index"):  # a tensor product
                 whole.append((self.dim, sym, i, k))
             return matrix(self, sym, i, k)
 
@@ -352,10 +352,13 @@ class TestColumnStore:
         amb = _eval_tensor([(1, 0), (1, 0), (0, 1)])
         fus = fusion_filtration(amb, top_vec(amb))
         assert fus.act("f", 1, 1, top_vec(fus))  # one vector, through amb
-        fus.act("e", 2, 0, {fus.dim - 1: ONE})
-        assert set(amb._cols) == {("f", 1, 1), ("e", 2, 0)}
-        fus.matrix("f", 1, 1)
-        assert set(amb._cols) == {("e", 2, 0)}
+        assert amb._cols == {}
+        assert fus.act("e", 2, 0, {fus.dim - 1: ONE})
+        assert amb._cols == {}
+        assert set(fus._cols) == {("f", 1, 1), ("e", 2, 0)}
+        fus.matrix("f", 1, 1)  # every row, through amb
+        assert amb._cols == {}
+        assert set(fus._cols) == {("e", 2, 0)}
 
     def test_fusion_computes_no_image_above_the_top_degree(self, monkeypatch):
         amb = _eval_tensor([(1, 0), (1, 0), (0, 1)])

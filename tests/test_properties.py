@@ -13,12 +13,14 @@ from krfl.demazure import gen_demazure, local_weyl, rect_demazure
 from krfl.linalg import Echelon, mat_apply, mat_bracket, mat_from_columns
 from krfl.modules import (
     _target,
+    apply_word,
     cyclic_submodule,
     evaluation_module,
     fundamental_gmodule,
     fusion_filtration,
     fusion_product,
     graded_character,
+    module_store,
     simple_gmodule,
     tensor_modules,
 )
@@ -358,25 +360,41 @@ def _factor_sum(factors, amb, sym, i, k, vec):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_vector_action_of_tensor_equals_matrix_action(data):
-    factors = TENSOR_FACTORS[data.draw(st.sampled_from(sorted(TENSOR_FACTORS)))]()
-    amb = tensor_modules(factors)
-    idx = data.draw(st.sets(st.integers(0, amb.dim - 1), min_size=1, max_size=6))
+    """On a fresh module of any route, act through the column store
+    equals the built matrix applied; on a tensor, also the factor sum."""
+    name = data.draw(st.sampled_from(sorted(ROUTES)))
+    module_store.cache_clear()
+    simple_gmodule.cache_clear()
+    factors = TENSOR_FACTORS[name]() if name in TENSOR_FACTORS else None
+    m = ROUTES[name]() if factors is None else tensor_modules(factors)
+    idx = data.draw(st.sets(st.integers(0, m.dim - 1), min_size=1, max_size=6))
     vec = {j: data.draw(st.integers(-3, 3).filter(bool)) for j in sorted(idx)}
     sym = data.draw(st.sampled_from("efh"))
-    i = data.draw(st.integers(1, amb.rank))
+    i = data.draw(st.integers(1, m.rank))
     # k = trunc + 1 and trunc + 2 reach past the stored powers
-    k = data.draw(st.integers(0, amb.trunc + 2))
-    assert not amb._mats
-    if k > amb.trunc and amb.points is None and not amb.graded:
+    k = data.draw(st.integers(0, m.trunc + 2))
+    assert not m._mats
+    if k > m.trunc and m.points is None and not m.graded:
         with pytest.raises(ValueError):
-            amb.act(sym, i, k, vec)
+            m.act(sym, i, k, vec)
         with pytest.raises(ValueError):
-            amb.matrix(sym, i, k)
+            m.matrix(sym, i, k)
         return
-    img = amb.act(sym, i, k, vec)
-    assert not amb._mats
-    assert img == _factor_sum(factors, amb, sym, i, k, vec)
-    assert img == mat_apply(amb.matrix(sym, i, k), vec)
+    img = m.act(sym, i, k, vec)
+    assert not m._mats
+    if factors is not None:
+        assert img == _factor_sum(factors, m, sym, i, k, vec)
+    assert img == mat_apply(m.matrix(sym, i, k), vec)
+
+
+def test_integral_sums_of_fractions_act_as_ints():
+    """e_2 ⊗ t on the evaluation tensor at 1/2 and 3/2 sums Fraction
+    entries of two columns to 3: both action paths return the int."""
+    vec = {0: 1, 1: 1, 2: 2}
+    amb = _evaluation_tensor([(1, 0), (1, 1)], (Fraction(1, 2), Fraction(3, 2)))
+    for img in (amb.act("e", 2, 1, vec), mat_apply(amb.matrix("e", 2, 1), vec)):
+        assert img == {0: 3}
+        assert type(img[0]) is int
 
 
 @pytest.mark.parametrize("name", sorted(TENSOR_FACTORS))
@@ -477,3 +495,19 @@ def test_every_action_matrix_is_in_normal_form(route):
             for k in range(top + 1):
                 mat = m.matrix(sym, i, k)
                 assert mat == mat_from_columns({c: dict(col) for c, col in mat.items()})
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_every_route_rejects_a_power_or_count_that_is_not_an_int(route):
+    m = ROUTES[route]()
+    vec = {m.cyclic_index: ONE}
+    for k in (1.5, 0.5, 1.0, 0.0, True, Fraction(1)):
+        with pytest.raises(ValueError, match="t-power"):
+            m.matrix("e", 1, k)
+        with pytest.raises(ValueError, match="t-power"):
+            m.act("e", 1, k, vec)
+        with pytest.raises(ValueError, match="t-power"):
+            apply_word(m, vec, [("e", 1, k, 1)])
+    for count in (1.5, 1.0, True):
+        with pytest.raises(ValueError, match="repeat count"):
+            apply_word(m, vec, [("f", 1, 0, count)])

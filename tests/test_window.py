@@ -113,7 +113,7 @@ class TestWindowMechanics:
             return spy
 
         def matrix_spy(self, sym, i, k):
-            if self.floor is not None and self._column is not None:
+            if self.floor is not None and hasattr(self, "flat_index"):
                 whole.append((sym, i, k))
             return matrix(self, sym, i, k)
 
