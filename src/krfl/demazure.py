@@ -15,8 +15,9 @@ Three constructions, all concrete and exact:
 
 rect_demazure_character and gen_demazure_character return the graded
 characters of the last two from builds on the dominant window
-(modules.window_character), in which each block and each local Weyl
-factor is windowed too.
+(modules.window_character).  The three builders take the window as
+the keyword _floor and hand each block and each local Weyl factor its
+own (_factor_floor), so full and windowed builds take one path.
 
 Also relation checkers that apply the expected defining relations to a
 claimed generator and report every violation.  The checkers establish
@@ -43,11 +44,11 @@ from fractions import Fraction
 from .modules import (
     GradedCharacter,
     GtModule,
-    _fusion_of_simples,
     _window_floor,
     apply_word,
     cyclic_submodule,
     default_points,
+    fusion_of_simples,
     module_store,
     tensor_modules,
     window_character,
@@ -66,7 +67,7 @@ from .typea import (
 ONE = Fraction(1)
 
 
-def local_weyl(n: int, lam, points=None) -> GtModule:
+def local_weyl(n: int, lam, points=None, *, _floor=None) -> GtModule:
     """Graded cyclic module with highest weight lam and the largest
     dimension among those, prod_i binom(n+1, i)^{lam_i} in type A.
 
@@ -74,10 +75,6 @@ def local_weyl(n: int, lam, points=None) -> GtModule:
     of each coordinate of lam, at pairwise distinct points: one
     fusion_of_simples call, stored with every other call that makes it.
     """
-    return _local_weyl(n, lam, points, None)
-
-
-def _local_weyl(n, lam, points, floor):
     lam = integral_weight(lam)
     if len(lam) != n or not is_dominant(lam):
         raise ValueError("weight must be dominant of matching rank")
@@ -86,7 +83,7 @@ def _local_weyl(n, lam, points, floor):
         lams.extend([fundamental_weight(n, i)] * lam[i - 1])
     if not lams:
         lams = [zero_weight(n)]
-    return _fusion_of_simples(n, lams, _column_points(lam, points), floor)
+    return fusion_of_simples(n, lams, _column_points(lam, points), _floor=_floor)
 
 
 def _column_points(lam, points):
@@ -97,7 +94,15 @@ def _column_points(lam, points):
     return tuple(Fraction(z) for z in points)
 
 
-def rect_demazure(n: int, ell: int, lam, points=None) -> GtModule:
+def _factor_floor(floor, lam, part):
+    """floor - (lam - part), the window of a factor with highest weight
+    part in a tensor with highest weight lam windowed at floor, or None
+    if floor is.  Every other factor's weight is at most its highest
+    weight, so an ambient weight ≥ floor has its factor weights ≥ theirs."""
+    return None if floor is None else weight_sub(floor, weight_sub(lam, part))
+
+
+def rect_demazure(n: int, ell: int, lam, points=None, *, _floor=None) -> GtModule:
     """Level-ell Demazure-type module with highest weight lam.
 
     lam must be coordinatewise divisible by ell; with mu = lam/ell the
@@ -105,20 +110,9 @@ def rect_demazure(n: int, ell: int, lam, points=None) -> GtModule:
     local_weyl(mu)^{tensor ell}.  Level one is local_weyl(mu) itself;
     a higher level is stored in module_store under (n, ell, lam, points)
     with points resolved as local_weyl resolves them, so omitting the
-    default points and passing them give one module.
+    default points and passing them give one module.  A _floor windows
+    it and its factors (_factor_floor; modules.window_character).
     """
-    return _rect_demazure(n, ell, lam, points, None)
-
-
-def _factor_floor(floor, lam, part):
-    """The window of a tensor factor with highest weight part inside a
-    tensor with highest weight lam windowed at floor: floor - (lam -
-    part).  Every other factor's weight is at most its highest weight,
-    so an ambient weight ≥ floor has its factor weights ≥ theirs."""
-    return weight_sub(floor, weight_sub(lam, part))
-
-
-def _rect_demazure(n, ell, lam, points, floor):
     if ell < 1:
         raise ValueError("level must be positive")
     lam = integral_weight(lam)
@@ -126,18 +120,12 @@ def _rect_demazure(n, ell, lam, points, floor):
         raise ValueError("weight must be divisible by the level")
     mu = tuple(c // ell for c in lam)
     points = _column_points(mu, points)
-    floor = _window_floor(lam, floor)
-    # a full build calls local_weyl itself, so a traced run sees the call
-    if ell == 1 and floor is None:
-        return local_weyl(n, mu, points)
+    floor = _window_floor(lam, _floor)
     if ell == 1:
-        return _local_weyl(n, mu, points, floor)
+        return local_weyl(n, mu, points, _floor=floor)
 
     def build():
-        if floor is None:
-            factor = local_weyl(n, mu, points)
-        else:
-            factor = _local_weyl(n, mu, points, _factor_floor(floor, lam, mu))
+        factor = local_weyl(n, mu, points, _floor=_factor_floor(floor, lam, mu))
         amb = tensor_modules([factor] * ell)
         amb.floor = floor
         return cyclic_submodule(amb, {amb.cyclic_index: ONE})
@@ -149,31 +137,25 @@ def _rect_demazure(n, ell, lam, points, floor):
 def rect_demazure_character(n: int, ell: int, lam) -> GradedCharacter:
     """graded_character(rect_demazure(n, ell, lam)), built on the dominant
     window (modules.window_character)."""
-    return window_character(lam, lambda floor: _rect_demazure(n, ell, lam, None, floor))
+    return window_character(lam, lambda floor: rect_demazure(n, ell, lam, _floor=floor))
 
 
-def gen_demazure(n: int, i: int, xi) -> GtModule:
+def gen_demazure(n: int, i: int, xi, *, _floor=None) -> GtModule:
     """Closure of the joint generator in a tensor of rectangular modules.
 
     The run-length blocks of xi, ascending in part size, give one
     factor each: a block of b parts of size m contributes the level-b
-    module with highest weight b*m*omega_i.
+    module with highest weight b*m*omega_i, windowed by _factor_floor
+    under a _floor.
     """
-    return _gen_demazure(n, i, xi, None)
-
-
-def _gen_demazure(n, i, xi, floor):
     omega = fundamental_weight(n, i)
     xi = _nonempty(xi)
     lam = weight_scale(sum(xi.parts), omega)
+    floor = _window_floor(lam, _floor)
     factors = []
     for m, b in xi.rle():
         top = weight_scale(b * m, omega)
-        if floor is None:  # rect_demazure itself, as _rect_demazure calls local_weyl
-            factors.append(rect_demazure(n, b, top))
-        else:
-            sub = _factor_floor(floor, lam, top)
-            factors.append(_rect_demazure(n, b, top, None, sub))
+        factors.append(rect_demazure(n, b, top, _floor=_factor_floor(floor, lam, top)))
     if len(factors) == 1:
         return factors[0]
     amb = tensor_modules(factors)
@@ -185,7 +167,7 @@ def gen_demazure_character(n: int, i: int, xi) -> GradedCharacter:
     """graded_character(gen_demazure(n, i, xi)), built on the dominant
     window (modules.window_character)."""
     lam = weight_scale(sum(xi), fundamental_weight(n, i))
-    return window_character(lam, lambda floor: _gen_demazure(n, i, xi, floor))
+    return window_character(lam, lambda floor: gen_demazure(n, i, xi, _floor=floor))
 
 
 def _nonempty(xi) -> Partition:

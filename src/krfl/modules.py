@@ -62,8 +62,11 @@ degree of a fusion product or Demazure-type module is a g-module, so its
 dominant multiplicities fix it, and window_character builds only the
 weights at or above the lowest dominant weight of the highest weight's
 coset: the closure skips every lower target (_close), so its ambient
-builds no column outside the window.  A module whose window holds all
-its weights is built whole, as its full build (_window_floor).
+builds no column outside the window.  The window is the keyword _floor
+of the public builders themselves (fusion_of_simples here, the three of
+krfl.demazure), so a windowed build runs the code of the full one.  A
+module whose window holds all its weights is built whole, as its full
+build (_window_floor).
 
 A graded module is built once while it is stored.  fusion_of_simples
 and demazure.rect_demazure (level above one) take their module from
@@ -392,12 +395,12 @@ class GtModule:
     touch.  A subquotient reads the column store of its ambient, which
     it drops for a generator once it has read it.
 
-    floor is None except inside the character builds of
-    window_character, which set it on the ambient of a closure; the
-    result inherits it.  Such a module holds only the part on the
-    weights ≥ floor: a closure inside it visits no lower weight (_close),
-    and an image below floor acts as zero.  No such module leaves the
-    engine.
+    floor is None except in a builder called with _floor (the character
+    builds of window_character): the builder sets it on the ambient of
+    its closure and the result inherits it.  Such a module holds only
+    the part on the weights ≥ floor: a closure inside it visits no lower
+    weight (_close), and an image below floor acts as zero.  Only a
+    caller that passes _floor gets one back.
     """
 
     ambient = None  # the module a subquotient's columns are read through
@@ -494,6 +497,7 @@ class GtModule:
 
     def weight_of(self, vec):
         """The common weight of the support, or raise if mixed."""
+        _check_indices(self, vec)
         wts = {self.weights[j] for j in vec}
         if len(wts) != 1:
             raise ValueError("vector is not weight homogeneous")
@@ -529,6 +533,8 @@ def tensor_modules(ms) -> GtModule:
     every factor.  A factor without points or grading is a g-module,
     and so is the result: ungraded, no points, trunc = 0.
     """
+    if not ms:
+        raise ValueError("at least one factor required")
     rank = ms[0].rank
     if any(m.rank != rank for m in ms):
         raise ValueError("rank mismatch")
@@ -783,12 +789,6 @@ def default_points(p: int):
     return tuple(range(p))
 
 
-def fusion_of_simples(n, lams, points) -> GtModule:
-    """Graded fusion of the simple modules V(lam_k) at the given points,
-    built once per (n, lams, points) while module_store keeps it."""
-    return _fusion_of_simples(n, lams, points, None)
-
-
 def _window_floor(top, floor):
     """floor, or None if the window at floor holds every weight of a
     module with highest weight top: its lowest weight w0 top, and so
@@ -799,9 +799,10 @@ def _window_floor(top, floor):
     return floor
 
 
-def _fusion_of_simples(n, lams, points, floor):
-    """fusion_of_simples, or with a floor its windowed part, stored under
-    a key of its own."""
+def fusion_of_simples(n, lams, points, *, _floor=None) -> GtModule:
+    """Graded fusion of the simple modules V(lam_k) at the given points,
+    built once per (n, lams, points) while module_store keeps it; with
+    _floor, its part on the weights ≥ _floor, under a key of its own."""
     lams = tuple(integral_weight(lam) for lam in lams)
     points = tuple(Fraction(z) for z in points)
     if not lams:
@@ -810,7 +811,7 @@ def _fusion_of_simples(n, lams, points, floor):
         raise ValueError("one point per factor required")
     if len(set(points)) != len(points):
         raise ValueError("points must be pairwise distinct")
-    floor = _window_floor(tuple(map(sum, zip(*lams))), floor)
+    floor = _window_floor(tuple(map(sum, zip(*lams))), _floor)
 
     def build():
         factors = [
@@ -842,7 +843,7 @@ def fusion_character(n: int, i: int, xi, points=None) -> GradedCharacter:
     dominant window (window_character)."""
     lams, points = _one_node(n, i, xi, points)
     top = tuple(map(sum, zip(zero_weight(n), *lams)))
-    return window_character(top, lambda floor: _fusion_of_simples(n, lams, points, floor))
+    return window_character(top, lambda floor: fusion_of_simples(n, lams, points, _floor=floor))
 
 
 def window_character(lam, build) -> GradedCharacter:
@@ -974,6 +975,12 @@ def _check_word(m: GtModule, word):
             raise ValueError(f"repeat count must be an int ≥ 0, got {power!r}")
 
 
+def _check_indices(m: GtModule, vec):
+    """ValueError unless every key of vec is the int index of a basis vector."""
+    if not all(type(j) is int and 0 <= j < m.dim for j in vec):
+        raise ValueError("vector index outside the basis")
+
+
 def apply_word(m: GtModule, vec, word):
     """Apply a product of generator powers to a vector.
 
@@ -981,10 +988,11 @@ def apply_word(m: GtModule, vec, word):
     where an interval (a, b) with a < b names a root vector of e or f;
     entries act in list order on the running vector.  Every entry is
     checked before any acts, so a malformed word raises ValueError even
-    on a vector it would kill.  Returns the exact image, {} iff the
-    product kills vec.
+    on a vector it would kill, as does a key of vec outside the basis.
+    Returns the exact image, {} iff the product kills vec.
     """
     _check_word(m, word)
+    _check_indices(m, vec)
     out = dict(vec)
     for sym, loc, k, power in word:
         for _ in range(power):

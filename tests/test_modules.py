@@ -194,6 +194,10 @@ class TestCurrentTensor:
         with pytest.raises(ValueError):
             tensor_modules([ev, gr])
 
+    def test_no_factors_rejected(self):
+        with pytest.raises(ValueError, match="at least one factor required"):
+            tensor_modules([])
+
     def test_eval_tensor_axioms(self):
         a = evaluation_module(simple_gmodule(1, (1,)), 0)
         b = evaluation_module(simple_gmodule(1, (2,)), 3)
@@ -465,6 +469,17 @@ class TestCyclicSubmodule:
         t = evaluation_module(simple_gmodule(1, (1,)), 0)
         with pytest.raises(ValueError):
             cyclic_submodule(t, {0: ONE, 1: ONE})
+
+    @pytest.mark.parametrize("index", [-1, 99])
+    def test_index_outside_the_basis_rejected(self, index):
+        # -1 used to close the last basis vector, 99 to raise IndexError
+        with pytest.raises(ValueError, match="outside the basis"):
+            cyclic_submodule(fusion_product(2, 1, (1,)), {index: ONE})
+
+    def test_weight_of_rejects_an_index_outside_the_basis(self):
+        # a negative index used to read the last basis weight
+        with pytest.raises(ValueError, match="outside the basis"):
+            fusion_product(2, 1, (1,)).weight_of({-1: ONE})
 
 
 class TestFusion:
@@ -891,6 +906,11 @@ class TestApplyWord:
         m = fusion_product(1, 1, (1, 1))
         v = top_vec(m)
         assert apply_word(m, v, []) == v
+
+    def test_index_outside_the_basis_is_rejected(self):
+        # the word used to kill the missing vector, so a relation "held"
+        with pytest.raises(ValueError, match="outside the basis"):
+            apply_word(fundamental_gmodule(2, 1), {99: 1}, [("f", 1, 0, 1)])
 
     def test_lowering_past_string_length(self):
         m = fusion_product(1, 1, (2, 1))

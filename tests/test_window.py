@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+import krfl.demazure
 from krfl.cli import main
 from krfl.demazure import (
     gen_demazure,
@@ -128,6 +129,25 @@ class TestWindowMechanics:
         assert windowed
         assert all(dominates(m.weights[j], m.floor) for m, j in windowed)
         assert whole == []
+
+    def test_windowed_builds_go_through_the_public_builders(self, monkeypatch):
+        # patched by module attribute, the way perfbench's tracer wraps them
+        windowed = set()
+
+        def spy(name, builder):
+            def call(*args, **kwargs):
+                if kwargs.get("_floor") is not None:
+                    windowed.add(name)
+                return builder(*args, **kwargs)
+
+            return call
+
+        for name in ("local_weyl", "rect_demazure", "gen_demazure"):
+            monkeypatch.setattr(krfl.demazure, name, spy(name, getattr(krfl.demazure, name)))
+        module_store.cache_clear()
+        rect_demazure_character(3, 2, (0, 4, 0))
+        gen_demazure_character(3, 1, (2, 2, 1))
+        assert windowed == {"local_weyl", "rect_demazure", "gen_demazure"}
 
     def test_public_builders_still_return_full_modules(self):
         module_store.cache_clear()
