@@ -472,12 +472,12 @@ class TestCyclicSubmodule:
 
     @pytest.mark.parametrize("index", [-1, 99])
     def test_index_outside_the_basis_rejected(self, index):
-        # -1 used to close the last basis vector, 99 to raise IndexError
+        # a negative index would wrap round to the last basis vector
         with pytest.raises(ValueError, match="outside the basis"):
             cyclic_submodule(fusion_product(2, 1, (1,)), {index: ONE})
 
     def test_weight_of_rejects_an_index_outside_the_basis(self):
-        # a negative index used to read the last basis weight
+        # a negative index would read the last basis weight
         with pytest.raises(ValueError, match="outside the basis"):
             fusion_product(2, 1, (1,)).weight_of({-1: ONE})
 
@@ -908,7 +908,7 @@ class TestApplyWord:
         assert apply_word(m, v, []) == v
 
     def test_index_outside_the_basis_is_rejected(self):
-        # the word used to kill the missing vector, so a relation "held"
+        # a word kills a vector it cannot reach, so a relation would "hold"
         with pytest.raises(ValueError, match="outside the basis"):
             apply_word(fundamental_gmodule(2, 1), {99: 1}, [("f", 1, 0, 1)])
 
