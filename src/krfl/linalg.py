@@ -186,10 +186,19 @@ class Echelon:
     elimination, and its reduced rows are dropped.  release() drops the
     rest once the closure is done; insert and reduce then raise
     InvariantError, and coordinates keeps working.
+
+    room maps each label whose block is not full to the dimension its
+    rows do not span yet, capacity minus pivot count; insert counts it
+    down and deletes a label that reaches 0, and a label of capacity 0
+    is never in it.  So a block is full exactly when room.get(label) is
+    falsy, one dict lookup: full() is that test, and a closure reads
+    room itself for every candidate it weighs (modules._close).
+    release() empties room too, as nothing can be inserted after it.
     """
 
     def __init__(self, capacity):
         self.capacity = capacity  # label -> dimension of the label space
+        self.room = {label: c for label, c in capacity.items() if c}
         self.rows = []        # primitive integer SparseVecs, insertion order
         self.scales = []      # positive pivot coefficient per row
         self.meta = []        # caller data per row, parallel to rows
@@ -204,11 +213,13 @@ class Echelon:
 
     def full(self, label):
         """Whether the block spans the whole label space."""
-        return len(self.pivots.get(label, ())) == self.capacity[label]
+        return not self.room.get(label)
 
     def release(self):
-        """Drop the reduced copy; insert and reduce refuse from now on."""
+        """Drop the reduced copy and the room table; insert and reduce
+        refuse from now on."""
         self._reduced = None
+        self.room = {}
 
     @staticmethod
     def _cleared(v):
@@ -334,10 +345,14 @@ class Echelon:
         self.meta.append(meta)
         self.pivots.setdefault(label, {})[p] = idx
         bisect.insort(self._order.setdefault(label, []), p)
-        if self.full(label):
+        left = self.room[label] - 1
+        if left:
+            self.room[label] = left
+            if block is not None:
+                self._extend(block, w, p)
+        else:
+            del self.room[label]
             self._reduced.pop(label, None)
-        elif block is not None:
-            self._extend(block, w, p)
         return idx
 
     def coordinates(self, v, label):

@@ -248,7 +248,8 @@ def _close(m, ech, rows, gens):
     = sum_i i(n+1-i) mu_i, and an accepted candidate becomes a row of
     its tag whose images join the queue.  Tags come in ascending order,
     so the rows of tag ≤ r span the r-th filtration piece.  A generator
-    whose target block is already full is not applied.
+    whose target block is already full is not applied: ech.room, read
+    directly, answers that in one lookup.
 
     Stage skip.  When every generator lowers and every stored row is
     final for its tag (a graded ambient, whose labels keep degrees
@@ -263,7 +264,10 @@ def _close(m, ech, rows, gens):
     dominant_rep(mu) - mu is a nonzero sum of positive roots, so
     dominant_rep(mu) is such a weight, and once
     c(mu, r) ≥ c(dominant_rep(mu), r) the stage's mu-part is complete:
-    the image lies in the span, and the candidate is skipped.  An
+    the image lies in the span, and the candidate is skipped.  The
+    (mu, r) goes into the set complete then, and every later candidate
+    aimed there is skipped by that one lookup: c(dominant_rep(mu), r)
+    is final and c(mu, r) only grows, so the test would hold again.  An
     ungraded closure whose Borel phase accepted rows keeps them in the
     same blocks at every tag, so its counts are not stage dimensions
     and nothing is skipped.
@@ -300,6 +304,8 @@ def _close(m, ech, rows, gens):
     for j, meta in enumerate(ech.meta):
         members.setdefault(meta, []).append(j)
     filled = set()  # (weight, tag) filled by reflection
+    complete = set()  # (weight, tag) the stage skip found complete
+    room = ech.room
     heap = []
     accepted = []
     # (source weight, t-power) -> [(sym, i, target weight, its dominant
@@ -311,8 +317,8 @@ def _close(m, ech, rows, gens):
         for sym, i in groups[k]:
             wt2 = _target(wt, sym, i)
             if floor is None or dominates(wt2, floor):
-                dom = None if is_dominant(wt2) else dominant_rep(wt2)
-                out.append((sym, i, wt2, dom))
+                dom = dominant_rep(wt2)
+                out.append((sym, i, wt2, None if dom == wt2 else dom))
         return out
 
     def queue(j):
@@ -337,7 +343,7 @@ def _close(m, ech, rows, gens):
         for sym, i, wt2, dom in targets:
             meta = (wt2, tag)
             label = meta if graded else wt2  # _closure_label
-            if ech.full(label):
+            if not room.get(label) or meta in complete:
                 continue
             if stage and dom is not None:
                 if fill and meta not in filled:
@@ -350,6 +356,7 @@ def _close(m, ech, rows, gens):
                     ):
                         accept(new)
                 if len(members.get(meta, ())) >= len(members.get((dom, tag), ())):
+                    complete.add(meta)
                     continue
             img = m.act(sym, i, k, row)
             if img:
@@ -469,8 +476,11 @@ class GtModule:
 
     def act(self, sym, i, k, vec):
         """The image of vec: through the matrix once it is built, else
-        through the column store, which makes the missing columns."""
-        if self._acts_by_zero(k) or not vec:
+        through the column store, which makes the missing columns.  An
+        int t-power within trunc passes without the call to
+        _acts_by_zero, which checks every other."""
+        inside = type(k) is int and 0 <= k <= self.trunc
+        if not inside and self._acts_by_zero(k) or not vec:
             return {}
         key = (sym, i, k)
         mat = self._mats.get(key)
@@ -504,6 +514,11 @@ class GtModule:
         return wts.pop()
 
     def degree_of(self, vec):
+        """The common degree of the support, or raise if mixed or if
+        the module carries no grading."""
+        if not self.graded:
+            raise ValueError("module carries no grading")
+        _check_indices(self, vec)
         ds = {self.degrees[j] for j in vec}
         if len(ds) != 1:
             raise ValueError("vector is not degree homogeneous")
@@ -517,7 +532,7 @@ def evaluation_module(m: GtModule, z) -> GtModule:
 
     def column(sym, i, k):
         base = m.matrix(sym, i, 0)
-        return (base if k == 0 else mat_scale(base, z**k)).get
+        return (base if k == 0 else mat_scale(base, _canon(z**k))).get
 
     return GtModule(m.rank, m.weights, None, 0, column, points=(z,), cyclic_index=m.cyclic_index)
 
@@ -623,9 +638,9 @@ def _closure_label(m: GtModule, wt, deg):
 def _closure_echelon(m: GtModule) -> Echelon:
     """An empty echelon for a closure inside m: the capacity of a label is
     the number of basis vectors of m that carry it, and a label no basis
-    vector carries has capacity 0, so its block is full from the start."""
-    degrees = m.degrees if m.graded else itertools.repeat(0)
-    return Echelon(Counter(_closure_label(m, w, d) for w, d in zip(m.weights, degrees)))
+    vector carries has capacity 0, so its block is full from the start.
+    The labels are counted as _closure_label makes them, in one pass."""
+    return Echelon(Counter(zip(m.weights, m.degrees) if m.graded else m.weights))
 
 
 def _module_on_rows(m, ech, degrees, trunc, points):

@@ -481,6 +481,16 @@ class TestCyclicSubmodule:
         with pytest.raises(ValueError, match="outside the basis"):
             fusion_product(2, 1, (1,)).weight_of({-1: ONE})
 
+    @pytest.mark.parametrize("index", [-1, 99])
+    def test_degree_of_rejects_an_index_outside_the_basis(self, index):
+        # a negative index would read the last basis degree, 99 IndexError
+        with pytest.raises(ValueError, match="outside the basis"):
+            fusion_product(2, 1, (1, 1)).degree_of({index: 1})
+
+    def test_degree_of_an_ungraded_module_is_rejected(self):
+        with pytest.raises(ValueError, match="no grading"):
+            fundamental_gmodule(2, 1).degree_of({0: 1})
+
 
 class TestFusion:
     def test_two_strings_graded_character(self):

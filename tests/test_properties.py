@@ -12,6 +12,9 @@ from krfl import InvariantError
 from krfl.demazure import gen_demazure, local_weyl, rect_demazure
 from krfl.linalg import Echelon, mat_apply, mat_bracket, mat_from_columns
 from krfl.modules import (
+    GtModule,
+    _closure_echelon,
+    _closure_label,
     _target,
     apply_word,
     cyclic_submodule,
@@ -123,6 +126,7 @@ def test_echelon_coordinates_reduce_and_insert_agree(inserted, probes):
         if row is None and not full:
             rejected.add(label)
         assert ech.full(label) == (len(ech.pivots.get(label, ())) == CAPACITY[label])
+        assert ech.room.get(label, 0) == CAPACITY[label] - len(ech.pivots.get(label, ()))
     assert (ech.rows, ech.scales) == _reference_rows(inserted)
     for label in CAPACITY:
         if not ech.full(label):
@@ -146,6 +150,7 @@ def test_echelon_coordinates_reduce_and_insert_agree(inserted, probes):
             assert residual == {}
         residuals.append(residual)
     ech.release()
+    assert ech.room == {}
     for (vec, label), residual in zip(inserted + probes, residuals):
         assert ech.coordinates(vec, label)[1] == residual
         with pytest.raises(InvariantError):
@@ -501,7 +506,7 @@ def test_every_action_matrix_is_in_normal_form(route):
 def test_every_route_rejects_a_power_or_count_that_is_not_an_int(route):
     m = ROUTES[route]()
     vec = {m.cyclic_index: ONE}
-    for k in (1.5, 0.5, 1.0, 0.0, True, Fraction(1)):
+    for k in (1.5, 0.5, 1.0, 0.0, True, Fraction(1), -1):
         with pytest.raises(ValueError, match="t-power"):
             m.matrix("e", 1, k)
         with pytest.raises(ValueError, match="t-power"):
@@ -511,3 +516,57 @@ def test_every_route_rejects_a_power_or_count_that_is_not_an_int(route):
     for count in (1.5, 1.0, True):
         with pytest.raises(ValueError, match="repeat count"):
             apply_word(m, vec, [("f", 1, 0, count)])
+
+
+GRADED_ROUTES = [
+    "fusion_product", "gen_demazure", "graded-pair", "graded-triple", "local_weyl", "rect_demazure"
+]
+
+
+@pytest.mark.parametrize("route", GRADED_ROUTES)
+def test_a_graded_route_acts_by_zero_one_power_above_its_truncation(route, monkeypatch):
+    """act lets an int t-power within trunc through without asking
+    _acts_by_zero, and hands it every other: trunc + 1 acts by zero."""
+    m = ROUTES[route]()
+    assert m.graded
+    vec = {m.cyclic_index: ONE}
+    asked = []
+    acts_by_zero = GtModule._acts_by_zero
+
+    def spy(self, k):
+        if self is m:
+            asked.append(k)
+        return acts_by_zero(self, k)
+
+    monkeypatch.setattr(GtModule, "_acts_by_zero", spy)
+    for k in range(m.trunc + 1):
+        m.act("f", 1, k, vec)
+    assert asked == []
+    for sym in "efh":
+        assert m.act(sym, 1, m.trunc + 1, vec) == {}
+    assert asked == [m.trunc + 1] * 3
+
+
+def _windowed_tensor():
+    t = _evaluation_tensor([(2, 0), (1, 0)], (0, 1))
+    t.floor = (0, 0)  # as fusion_of_simples sets it for a windowed build
+    return t
+
+
+@pytest.mark.parametrize("build", [
+    lambda: _evaluation_tensor([(1, 1), (1, 0)], (0, 2)),
+    lambda: tensor_modules([local_weyl(2, (1, 1)), local_weyl(2, (1, 0))]),
+    _windowed_tensor,
+], ids=["ungraded", "graded", "windowed"])
+def test_closure_echelon_counts_the_closure_labels_of_the_basis(build):
+    """The capacity of a closure label is the number of basis vectors
+    carrying it, below a window's floor too; the room of an empty
+    echelon is the same count."""
+    m = build()
+    degrees = m.degrees if m.graded else [0] * m.dim
+    want = Counter(_closure_label(m, w, d) for w, d in zip(m.weights, degrees))
+    ech = _closure_echelon(m)
+    assert ech.capacity == want
+    assert ech.room == dict(want)
+    if m.floor is not None:
+        assert not all(dominates(w, m.floor) for w in m.weights)
