@@ -24,6 +24,10 @@ keeps a fully reduced copy of its rows, so a decision takes one pass.
 The copy is released when the closure ends.  Each label carries the
 dimension of its label space, and a block that reaches it is full: it
 accepts nothing more and needs no elimination.
+
+A row can also be appended unreduced, as a recipe for its vector;
+its block makes and reduces it ("settles") the first time something
+reads the block (Echelon.append).
 """
 
 from __future__ import annotations
@@ -181,22 +185,37 @@ class Echelon:
     the copy.  coordinates always runs the triangular sweep, which
     needs no reduced copy.
 
-    A block whose pivot count reaches its capacity spans its label
-    space: insert rejects and reduce clears every vector of it without
-    elimination, and its reduced rows are dropped.  release() drops the
-    rest once the closure is done; insert and reduce then raise
-    InvariantError, and coordinates keeps working.
+    A block whose row count, appended rows included, reaches its
+    capacity spans its label space: insert rejects and reduce clears
+    every vector of it without elimination, and its reduced rows are
+    dropped.  release() drops the rest once the closure is done; insert
+    and reduce then raise InvariantError, and coordinates keeps working.
 
     room maps each label whose block is not full to the dimension its
-    rows do not span yet, capacity minus pivot count; insert counts it
-    down and deletes a label that reaches 0, and a label of capacity 0
-    is never in it.  So a block is full exactly when room.get(label) is
+    rows do not span yet, capacity minus row count; insert and append
+    count it down and delete a label that reaches 0, and a label of
+    capacity 0 is never in it.  So a block is full exactly when room.get(label) is
     falsy, one dict lookup: full() is that test, and a closure reads
     room itself for every candidate it weighs (modules._close).
-    release() empties room too, as nothing can be inserted after it.
+    release() empties room too, as nothing can be inserted after it,
+    and drops capacity, which only a caller reads before it.
+
+    append(recipe, label, meta) adds row j unreduced: rows[j] and
+    scales[j] are None, and recipes[j] = (source row, *args), until the
+    block settles.  settle(label) reduces the label's appended rows in
+    row order, each made from its recipe as make(vector of the source,
+    *args), and row(j, label) is row j after settling its block;
+    insert, reduce and coordinates settle their block first, so
+    appended rows always follow the settled ones of their block.  The
+    residual of a vector depends only on the vector modulo the span of
+    the earlier rows, so a caller that appends a row equal, modulo
+    those rows, to one insert would accept gets the row insert would
+    have stored; a row that settles to zero raises InvariantError.  A
+    full block is settled by coordinates, row or settle alone, as
+    insert and reduce decide it without elimination.
     """
 
-    def __init__(self, capacity):
+    def __init__(self, capacity, make=None):
         self.capacity = capacity  # label -> dimension of the label space
         self.room = {label: c for label, c in capacity.items() if c}
         self.rows = []        # primitive integer SparseVecs, insertion order
@@ -207,6 +226,10 @@ class Echelon:
         # label -> {pivot -> fully reduced row}, for the blocks that have
         # rejected a vector and are not full; None once released
         self._reduced = {}
+        self._make = make     # (vector, *args) -> vector of an appended row
+        self.recipes = {}     # row number -> (source row, *args), until settled
+        self._made = {}       # row number -> vector made from its recipe
+        self._pending = {}    # label -> appended row numbers, in row order
 
     def __len__(self):
         return len(self.rows)
@@ -216,10 +239,13 @@ class Echelon:
         return not self.room.get(label)
 
     def release(self):
-        """Drop the reduced copy and the room table; insert and reduce
-        refuse from now on."""
+        """Drop the reduced copy, the room table, capacity and the
+        vectors made for appended rows; insert, reduce and append refuse
+        from now on."""
         self._reduced = None
         self.room = {}
+        self.capacity = None
+        self._made = {}
 
     @staticmethod
     def _cleared(v):
@@ -235,12 +261,12 @@ class Echelon:
             return {i: x.numerator for i, x in v.items()}, 1
         return {i: x.numerator * (L // x.denominator) for i, x in v.items()}, L
 
-    def _block(self, label):
-        """The reduced copy of the label's block, or None while it has
-        none; raises once released."""
+    def _open(self, label):
+        """Whether the label's block can still take a row; raises once
+        released."""
         if self._reduced is None:
             raise InvariantError("echelon reduced copy already released")
-        return self._reduced.get(label)
+        return not self.full(label)
 
     @staticmethod
     def _eliminate(v, block, scale):
@@ -306,14 +332,44 @@ class Echelon:
 
     def reduce(self, v, label):
         """Eliminate every pivot position from v; returns the exact residual."""
-        block = self._block(label)
-        if self.full(label):
+        if not self._open(label):
             return {}
+        self.settle(label)
         w, scale = self._cleared(v)
-        scale = self._clear(w, label, block, scale)
+        scale = self._clear(w, label, self._reduced.get(label), scale)
         if scale == 1:
             return w
         return {i: _canon(Fraction(x, scale)) for i, x in w.items()}
+
+    def _store(self, j, w, label):
+        """Store the nonzero integer residual w, made primitive with a
+        positive pivot, as row j of the label's block; returns its pivot."""
+        content = math.gcd(*w.values())
+        p = min(w)
+        if w[p] < 0:
+            content = -content
+        if content != 1:
+            w = {i: x // content for i, x in w.items()}
+        self.rows[j] = w
+        self.scales[j] = w[p]
+        self.pivots.setdefault(label, {})[p] = j
+        bisect.insort(self._order.setdefault(label, []), p)
+        return p
+
+    def _new_row(self, label, meta):
+        """Row number of a new row of the label, counted against its room;
+        the block drops its reduced copy when that makes it full."""
+        idx = len(self.rows)
+        self.rows.append(None)
+        self.scales.append(None)
+        self.meta.append(meta)
+        left = self.room[label] - 1
+        if left:
+            self.room[label] = left
+        else:
+            del self.room[label]
+            self._reduced.pop(label, None)
+        return idx
 
     def insert(self, v, label, meta=None):
         """Reduce v and insert the residual if nonzero.
@@ -322,9 +378,10 @@ class Echelon:
         The first rejection in a block that is not full builds its
         reduced copy.
         """
-        block = self._block(label)
-        if self.full(label):
+        if not self._open(label):
             return None
+        self.settle(label)
+        block = self._reduced.get(label)
         w, _ = self._cleared(v)
         self._clear(w, label, block, 1)
         if not w:
@@ -333,34 +390,71 @@ class Echelon:
                 for p, j in self.pivots.get(label, {}).items():  # insertion order
                     self._extend(block, self.rows[j], p)
             return None
-        content = math.gcd(*w.values())
-        p = min(w)
-        if w[p] < 0:
-            content = -content
-        if content != 1:
-            w = {i: x // content for i, x in w.items()}
-        idx = len(self.rows)
-        self.rows.append(w)
-        self.scales.append(w[p])
-        self.meta.append(meta)
-        self.pivots.setdefault(label, {})[p] = idx
-        bisect.insort(self._order.setdefault(label, []), p)
-        left = self.room[label] - 1
-        if left:
-            self.room[label] = left
-            if block is not None:
-                self._extend(block, w, p)
-        else:
-            del self.room[label]
-            self._reduced.pop(label, None)
+        idx = self._new_row(label, meta)
+        p = self._store(idx, w, label)
+        block = self._reduced.get(label)  # gone if the row filled the block
+        if block is not None:
+            self._extend(block, self.rows[idx], p)
         return idx
+
+    def append(self, recipe, label, meta=None):
+        """Add a row of the label by its recipe, (source row, *args),
+        unreduced; returns its row number.  Raises InvariantError if the
+        block is full."""
+        if not self._open(label):
+            raise InvariantError("appended row exceeds its label space")
+        idx = self._new_row(label, meta)
+        self.recipes[idx] = recipe
+        self._pending.setdefault(label, []).append(idx)
+        return idx
+
+    def _vector(self, j):
+        """Row j's vector: the stored row, or, while row j waits to be
+        settled, make of its source's vector, made once."""
+        row = self.rows[j]
+        if row is None:
+            row = self._made.get(j)
+            if row is None:
+                source, *args = self.recipes[j]
+                row = self._made[j] = self._make(self._vector(source), *args)
+        return row
+
+    def row(self, j, label):
+        """Row j, whose label is label, its block settled first."""
+        if self.rows[j] is None:
+            self.settle(label)
+        return self.rows[j]
+
+    def settle(self, label=None):
+        """Reduce the appended rows of the label, or of every label, in
+        row order; raises InvariantError on one in the span of the rows
+        before it.  Once released, no vector made on the way is kept."""
+        for lab in list(self._pending) if label is None else [label]:
+            pending = self._pending.pop(lab, None)
+            if pending is None:
+                continue
+            block = None if self._reduced is None else self._reduced.get(lab)
+            for j in pending:
+                w, _ = self._cleared(self._vector(j))
+                self._clear(w, lab, block, 1)
+                if not w:
+                    raise InvariantError("appended row lies in the span of its block")
+                p = self._store(j, w, lab)
+                if block is not None:
+                    self._extend(block, self.rows[j], p)
+                del self.recipes[j]
+                self._made.pop(j, None)
+        if self._reduced is None:  # released: keep no vector made for a source
+            self._made = {}
 
     def coordinates(self, v, label):
         """Write v as a combination of basis vectors; returns (coeffs, residual).
 
         coeffs maps row number -> exact coefficient of rows[j]/scales[j].
         residual is empty iff v lies in the current span of the label's block.
+        The block is settled first.
         """
+        self.settle(label)
         w, scale = self._cleared(v)
         coeffs = {}
         scale = self._sweep(w, label, scale, coeffs)

@@ -40,9 +40,11 @@ holds as many rows at a non-dominant weight as at the dominant weight
 of its orbit, whose count is final by then, the lowering phase offers
 that weight no further candidate of the stage (see _close).  In an
 ungraded closure the first such candidate fills the weight mu first:
-for mu_i = -p < 0, f_i^p ⊗ t^0 maps the stage's part at s_i mu onto
-its part at mu, so the images of the rows there reach the count at
-once, and the candidates are left only what the fill does not reach.
+for mu_i = -p < 0, f_i^p ⊗ t^0 maps the stage's part at s_i mu
+isomorphically onto its part at mu, so the images of the rows there
+reach the count at once and no candidate is tried at mu.  The fill
+rows are appended as recipes, made and reduced only when read
+(Echelon.append), so most of them are never made.
 cyclic_submodule and fusion_filtration differ only in the checks they
 make afterwards and in how _module_on_rows reads the rows.
 
@@ -89,7 +91,7 @@ import itertools
 import math
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .errors import InvariantError
 from .linalg import (
@@ -221,21 +223,19 @@ def _lowering_gens(rank, powers):
     return [("f", i, k) for i in range(1, rank + 1) for k in powers]
 
 
-def _reflection_fill(ech, act, rows, i, power, label, meta):
-    """Insert f_i^power (t^0, through act) of each of the given rows
-    under label and meta; returns the accepted row numbers."""
-    accepted = []
-    for j in rows:
-        img = ech.rows[j]
-        for _ in range(power):
-            img = act("f", i, 0, img)
-            if not img:
-                break
-        if img:
-            new = ech.insert(img, label, meta)
-            if new is not None:
-                accepted.append(new)
-    return accepted
+def _lower(m, vec, i, power):
+    """f_i^power ⊗ t^0 of vec, through m.act: the make of a closure
+    echelon, which builds the vectors of the fill rows."""
+    for _ in range(power):
+        vec = m.act("f", i, 0, vec)
+    return vec
+
+
+def _reflection_fill(ech, rows, i, power, label, meta):
+    """Append f_i^power ⊗ t^0 of each of the given rows to ech under
+    label and meta, as the recipe (row, i, power); returns the new row
+    numbers."""
+    return [ech.append((j, i, power), label, meta) for j in rows]
 
 
 def _close(m, ech, rows, gens):
@@ -282,10 +282,17 @@ def _close(m, ech, rows, gens):
     f_i^p ⊗ t^0 of the rows of tag r at mu', all in F^r, span F^r at mu
     together with the rows of lower tag, c(mu, r) reaches c(mu', r) =
     c(dominant_rep(mu), r), and the skip discards every later tag-r
-    candidate aimed at mu.  Should the fill fall short, nothing is
-    skipped and the candidates complete the part as before.  A graded
-    ambient stays on candidates: reflected rows there made the module's
-    matrix entries Fraction-valued and its check_axioms slower.
+    candidate aimed at mu.  The fill rows are appended unreduced
+    (Echelon.append): each counts against mu's room at once, and mu's
+    block is settled, its fill rows made and reduced, the first time
+    something reads the block: here, the first time a target that is
+    neither full nor complete needs one of its rows, whose candidates
+    are then as sparse as those of a row insert stored.  Settling gives
+    the rows insert would have stored, so every candidate and every
+    residual is the same.  By the isomorphism above no fill row
+    settles to zero; one that does raises InvariantError.  A graded ambient stays
+    on candidates: reflected rows there made the module's matrix
+    entries Fraction-valued and its check_axioms slower.
 
     Window.  If m.floor is set, a generator whose target weight is not
     ≥ floor is not applied.  Every generator lowers or raises by a
@@ -351,13 +358,13 @@ def _close(m, ech, rows, gens):
                     power, node = min((-c, a) for a, c in enumerate(wt2, 1) if c < 0)
                     up = weight_scale(power, simple_root(m.rank, node))
                     sources = members.get((weight_add(wt2, up), tag), ())
-                    for new in _reflection_fill(
-                        ech, m.act, sources, node, power, label, meta
-                    ):
+                    for new in _reflection_fill(ech, sources, node, power, label, meta):
                         accept(new)
                 if len(members.get(meta, ())) >= len(members.get((dom, tag), ())):
                     complete.add(meta)
                     continue
+            if row is None:  # a fill row: settle its block first
+                row = ech.row(j, _closure_label(m, *ech.meta[j]))
             img = m.act(sym, i, k, row)
             if img:
                 new = ech.insert(img, label, meta)
@@ -400,7 +407,7 @@ class GtModule:
     Until matrix builds a whole matrix, act reads a vector's columns
     from the column store, _cols, which makes each once, on first
     touch.  A subquotient reads the column store of its ambient, which
-    it drops for a generator once it has read it.
+    it drops whenever it has read through it.
 
     floor is None except in a builder called with _floor (the character
     builds of window_character): the builder sets it on the ambient of
@@ -454,20 +461,26 @@ class GtModule:
 
     def matrix(self, sym, i, k):
         """The whole (sym, i, k) matrix in normal form, built once; the
-        column store of the generator is dropped then."""
+        column store of the generator is dropped then.  A column maker
+        that is the get of a stored matrix in normal form (a fundamental
+        or evaluation module) hands over that matrix itself."""
         key = (sym, i, k)
         mat = self._mats.get(key)
         if mat is None or type(k) is not int:  # 1.0 finds the key of 1
             mat = {}
             if not self._acts_by_zero(k):
                 make = self.column_maker(*key)
-                for j in range(self.dim):
-                    if col := make(j):
-                        mat[j] = tuple(sorted(col))
+                stored = getattr(make, "__self__", None)
+                if type(stored) is dict:
+                    mat = stored
+                else:
+                    for j in range(self.dim):
+                        if col := make(j):
+                            mat[j] = tuple(sorted(col))
             self._mats[key] = mat
             self._cols.pop(key, None)
             if self.ambient is not None:
-                self.ambient._cols.pop(key, None)
+                self.ambient._cols.clear()
         return mat
 
     def column_maker(self, sym, i, k):
@@ -501,8 +514,8 @@ class GtModule:
                     out[r] = y
                 else:
                     out.pop(r, None)
-        if self.ambient is not None:  # its columns of key are read by now
-            self.ambient._cols.pop(key, None)
+        if self.ambient is not None:  # its columns are read by now
+            self.ambient._cols.clear()
         return _canon_vec(out)
 
     def weight_of(self, vec):
@@ -639,8 +652,10 @@ def _closure_echelon(m: GtModule) -> Echelon:
     """An empty echelon for a closure inside m: the capacity of a label is
     the number of basis vectors of m that carry it, and a label no basis
     vector carries has capacity 0, so its block is full from the start.
-    The labels are counted as _closure_label makes them, in one pass."""
-    return Echelon(Counter(zip(m.weights, m.degrees) if m.graded else m.weights))
+    The labels are counted as _closure_label makes them, in one pass.
+    The echelon makes the vectors of fill rows through m (_lower)."""
+    counts = Counter(zip(m.weights, m.degrees) if m.graded else m.weights)
+    return Echelon(counts, partial(_lower, m))
 
 
 def _module_on_rows(m, ech, degrees, trunc, points):
@@ -654,11 +669,13 @@ def _module_on_rows(m, ech, degrees, trunc, points):
     rows of tag d + k, a row of higher tag raises, and for d + k > trunc,
     the top tag, neither the image nor its coordinates are computed, as
     both checks are vacuous there.  Column j is made from m.act of row
-    j, divided by its scale.  Both closures end here, so the reduced
+    j, divided by its scale; row j's block, and the block of its image,
+    are settled first (Echelon.settle), which makes the vectors of their
+    appended rows through m.  Both closures end here, so the reduced
     copy of ech and m's column store are released; the new module
-    drops m's columns of a generator whenever it has read them (act,
-    matrix).  The new module inherits m's floor: an image below it is
-    not computed and acts as zero.
+    drops m's column store whenever it has read through it (act,
+    matrix), settles included.  The new module inherits m's floor: an
+    image below it is not computed and acts as zero.
     """
     ech.release()
     m._cols.clear()
@@ -691,9 +708,10 @@ def _module_on_rows(m, ech, degrees, trunc, points):
             wt, deg = ech.meta[j]
             if zero(sym, i, k, wt, deg):
                 return ()
+            row = ech.rows[j] or ech.row(j, _closure_label(m, wt, deg))
             # act on the integer row, which is scales[j] times basis vector
             # j, so the ambient action stays in int arithmetic
-            col = coords(sym, i, k, m.act(sym, i, k, ech.rows[j]), wt, deg)
+            col = coords(sym, i, k, m.act(sym, i, k, row), wt, deg)
             g = ech.scales[j]
             if g == 1:
                 return tuple(col.items())
@@ -763,6 +781,7 @@ def cyclic_submodule(m: GtModule, vec) -> GtModule:
 
 
 def _assert_truncation_sufficient(m: GtModule, ech: Echelon):
+    ech.settle()
     for sym in "efh":
         for i in range(1, m.rank + 1):
             for k in (m.trunc + 1, m.trunc + 2):

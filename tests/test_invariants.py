@@ -38,7 +38,18 @@ def lowering_at_one_node_only():
         M._lowering_gens = real
     sub.matrix("f", 2, 0)
 
-for case in (truncation_too_small, lowering_at_one_node_only):
+def dependent_fill_row():
+    # every fill row at a weight made from the first source row alone:
+    # V(2,1) has two rows at (1, 0), so its fill at (-1, 1) repeats one
+    real = M._reflection_fill
+    M._reflection_fill = lambda ech, rows, *rest: real(ech, [rows[0]] * len(rows), *rest)
+    try:
+        m = M.simple_gmodule(2, (2, 1))  # counts rows, reads none of them
+    finally:
+        M._reflection_fill = real
+    m.matrix("e", 1, 0)
+
+for case in (truncation_too_small, lowering_at_one_node_only, dependent_fill_row):
     try:
         case()
     except InvariantError as exc:
@@ -62,6 +73,7 @@ def test_broken_closure_raises(flags):
     assert _run(*flags) == [
         "truncation_too_small raised: truncated generator set failed to close",
         "lowering_at_one_node_only raised: closure is not action stable",
+        "dependent_fill_row raised: appended row lies in the span of its block",
     ]
 
 

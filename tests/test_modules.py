@@ -229,22 +229,31 @@ class TestCurrentTensor:
 
     def test_no_candidate_targets_a_full_weight_space(self, monkeypatch):
         # once the closure spans a weight space of the ambient, no further
-        # image is generated into it
+        # image is generated into it, inserted or appended by the fill
         lams = [(1, 0), (1, 0), (0, 1)]
         amb = tensor_modules(
             [evaluation_module(simple_gmodule(2, lam), z) for z, lam in enumerate(lams)]
         )
         capacity = Counter(amb.weights)
-        insert = Echelon.insert
+        insert, append = Echelon.insert, Echelon.append
+        rows = {}  # echelon -> rows per label, inserted or appended
         calls, into_full = [], []
 
-        def spy(self, v, label, meta=None):
-            calls.append(label)
-            if len(self.pivots.get(label, ())) >= capacity[label]:
-                into_full.append(label)
-            return insert(self, v, label, meta)
+        def spy(add):
+            def call(self, v, label, meta=None):
+                count = rows.setdefault(self, Counter())
+                calls.append(label)
+                if count[label] >= capacity[label]:
+                    into_full.append(label)
+                new = add(self, v, label, meta)
+                if new is not None:
+                    count[label] += 1
+                return new
 
-        monkeypatch.setattr(Echelon, "insert", spy)
+            return call
+
+        monkeypatch.setattr(Echelon, "insert", spy(insert))
+        monkeypatch.setattr(Echelon, "append", spy(append))
         fus = fusion_filtration(amb, top_vec(amb))
         assert fus.dim == amb.dim == 27
         assert len(calls) > fus.dim
@@ -364,6 +373,30 @@ class TestColumnStore:
         assert amb._cols == {}
         assert set(fus._cols) == {("e", 2, 0)}
 
+    def test_no_ambient_column_store_survives_a_settle(self, monkeypatch):
+        # reading a fill row settles its block, which makes its vector
+        # through the ambient; the read leaves no ambient column behind
+        closure = krfl.modules._closure
+        echelons = []
+
+        def spy(m, vec):
+            ech, borel = closure(m, vec)
+            echelons.append(ech)
+            return ech, borel
+
+        monkeypatch.setattr(krfl.modules, "_closure", spy)
+        amb = _eval_tensor(LOCAL_WEYL_211)
+        fus = fusion_filtration(amb, top_vec(amb))
+        ech = echelons[-1]  # the earlier ones build the simple factors
+        assert amb._cols == {}
+        j = min(ech.recipes)
+        assert fus.act("e", 1, 0, {j: ONE}) is not None
+        assert ech.rows[j] is not None and j not in ech.recipes
+        assert amb._cols == {}
+        fus.matrix("f", 2, 0)  # every row of degree ≤ top, so every block
+        assert ech.recipes == {} and None not in ech.rows
+        assert amb._cols == {}
+
     def test_fusion_computes_no_image_above_the_top_degree(self, monkeypatch):
         amb = _eval_tensor([(1, 0), (1, 0), (0, 1)])
         fus = fusion_filtration(amb, top_vec(amb))
@@ -371,7 +404,7 @@ class TestColumnStore:
         acted = []
 
         def spy(sym, i, k, vec):
-            acted.append(k)
+            acted.append((sym, i, k))
             return GtModule.act(amb, sym, i, k, vec)
 
         monkeypatch.setattr(amb, "act", spy)
@@ -380,10 +413,12 @@ class TestColumnStore:
             for k in range(top - d + 1, fus.trunc + 1):
                 assert fus.act("f", 1, k, {j: ONE}) == {}
         assert acted == []
-        # a matrix: one ambient image per row of degree ≤ top - k
+        # a matrix: one ambient image per row of degree ≤ top - k; the
+        # other ambient actions make fill rows as their blocks settle
         for k in range(fus.trunc + 1):
             fus.matrix("e", 2, k)
-            assert len(acted) == sum(d + k <= top for d in fus.degrees)
+            assert acted.count(("e", 2, k)) == sum(d + k <= top for d in fus.degrees)
+            assert {key for key in acted if key != ("e", 2, k)} <= {("f", 1, 0), ("f", 2, 0)}
             acted.clear()
 
 
@@ -409,6 +444,22 @@ MATRIX_DIGESTS = {
     "gen_demazure(3,1,(2,2,1))": (
         lambda: gen_demazure(3, 1, (2, 2, 1)),
         "be17f8ff08d65cdc5bec78ca28efc52258baebf76aefa3e2a85030f3ff1cc50e",
+    ),
+    # pinned as the engine wrote them while fill rows were still reduced
+    # as they were added
+    "local_weyl(3,(2,1,1)) windowed": (
+        lambda: local_weyl(3, (2, 1, 1), _floor=(0, 0, 1)),
+        "e721387b17768525c1baf835c79c53e27a2a80527a2ba2a5202f86696efae87b",
+    ),
+    "fusion_product(3,1,(2,2,1)) windowed": (
+        lambda: fusion_of_simples(
+            3, [(2, 0, 0), (2, 0, 0), (1, 0, 0)], (0, 1, 2), _floor=(1, 0, 0)
+        ),
+        "3a7f0be4d87b88c41c670f6bc68bba30b46583b493a6be5a319cb02eb1ced77c",
+    ),
+    "simple_gmodule(3,(2,1,1))": (
+        lambda: simple_gmodule.__wrapped__(3, (2, 1, 1)),
+        "d50d869ea2ce27fa0a0a9dd756939d9840c2a2d5ef9458ef22bfa0ea513e6c1f",
     ),
 }
 
@@ -738,19 +789,25 @@ class TestReflectionFill:
     the stage's rows at s_i mu; the stage skip then discards the rest."""
 
     def test_no_rejected_insert_at_a_non_dominant_weight(self, monkeypatch):
-        insert = Echelon.insert
+        # rows reach non-dominant weights, appended by the fill, and no
+        # vector offered there is rejected
+        insert, append = Echelon.insert, Echelon.append
         calls, rejected = [], []
 
-        def spy(self, v, label, meta=None):
-            new = insert(self, v, label, meta)
-            calls.append(meta)
-            if new is None and not is_dominant(meta[0]):
-                rejected.append(meta)
-            return new
+        def spy(add):
+            def call(self, v, label, meta=None):
+                new = add(self, v, label, meta)
+                calls.append(meta)
+                if new is None and not is_dominant(meta[0]):
+                    rejected.append(meta)
+                return new
+
+            return call
 
         module_store.cache_clear()
         simple_gmodule.cache_clear()
-        monkeypatch.setattr(Echelon, "insert", spy)
+        monkeypatch.setattr(Echelon, "insert", spy(insert))
+        monkeypatch.setattr(Echelon, "append", spy(append))
         assert local_weyl(3, (2, 1, 1)).dim == 384
         assert any(not is_dominant(wt) for wt, _ in calls)
         assert rejected == []
@@ -759,8 +816,8 @@ class TestReflectionFill:
         fill = krfl.modules._reflection_fill
         rows = Counter()  # power -> rows the fills of that power added
 
-        def spy(ech, act, sources, i, power, label, meta):
-            new = fill(ech, act, sources, i, power, label, meta)
+        def spy(ech, sources, i, power, label, meta):
+            new = fill(ech, sources, i, power, label, meta)
             rows[power] += len(new)
             return new
 
@@ -803,6 +860,30 @@ class TestReflectionFill:
         )
         assert run() == filled
         assert skipped
+
+    def test_most_fill_rows_are_never_made(self, monkeypatch):
+        # the relation check reads rows near the top; the character reads
+        # weights and tags alone; so most fill rows stay recipes
+        closure, append = krfl.modules._closure, Echelon.append
+        echelons, appended = [], Counter()
+
+        def spy_closure(m, vec):
+            ech, borel = closure(m, vec)
+            echelons.append(ech)
+            return ech, borel
+
+        def spy_append(self, recipe, label, meta=None):
+            appended[self] += 1
+            return append(self, recipe, label, meta)
+
+        monkeypatch.setattr(krfl.modules, "_closure", spy_closure)
+        monkeypatch.setattr(Echelon, "append", spy_append)
+        m = unshared(lambda: local_weyl(3, (2, 2, 1)))
+        assert check_demazure_relations(m, top_vec(m), 1, (2, 2, 1)) == []
+        ech = echelons[-1]
+        assert len(ech) == m.dim == 2304
+        assert appended[ech] > m.dim // 2
+        assert len(ech.recipes) > appended[ech] // 2
 
     def test_graded_closures_keep_integral_matrices(self):
         # a graded ambient stays on candidates, whose rows keep the

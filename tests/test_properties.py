@@ -5,7 +5,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from krfl import InvariantError
@@ -157,6 +157,44 @@ def test_echelon_coordinates_reduce_and_insert_agree(inserted, probes):
             ech.insert(vec, label)
         with pytest.raises(InvariantError):
             ech.reduce(vec, label)
+
+
+@settings(max_examples=40, deadline=None)
+@given(block_vectors(10), st.lists(st.booleans(), min_size=10, max_size=10))
+def test_appended_rows_settle_to_the_rows_insert_stores(inserted, appends):
+    """Rows appended by recipe, made and reduced only when their block is
+    read, settle to the rows insert stores from the same vectors in the
+    same order, inserts and appends interleaved; each vector is made
+    once, and a row in the span of its block raises when it settles."""
+    ref = Echelon(CAPACITY)
+    kept = [(vec, label) for vec, label in inserted if ref.insert(vec, label) is not None]
+    assume(kept)
+    made = []
+
+    def make(source, vec):
+        made.append(vec)
+        return vec
+
+    ech = Echelon(CAPACITY, make)
+    appended = 0
+    for n, ((vec, label), add) in enumerate(zip(kept, appends)):
+        if n and add:  # row 0, the source of every recipe, is inserted
+            j = ech.append((0, vec), label)
+            assert (ech.rows[j], ech.scales[j]) == (None, None)
+            appended += 1
+        else:
+            assert ech.insert(vec, label) is not None
+        assert ech.room.get(label, 0) == CAPACITY[label] - sum(
+            lab == label for _, lab in kept[: n + 1]
+        )
+    ech.settle()
+    assert (ech.rows, ech.scales) == (ref.rows, ref.scales)
+    assert ech.recipes == {} and len(made) == appended
+    vec, label = kept[0]
+    if not ech.full(label):
+        ech.append((0, vec), label)
+        with pytest.raises(InvariantError):
+            ech.coordinates(vec, label)
 
 
 @st.composite
